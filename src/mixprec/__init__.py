@@ -8,11 +8,9 @@ budget.
 
 from .quantizer import (
     LayerSpec,
-    QuantizedView,
     calibrate_scale_mse,
     perturbation,
     quantize,
-    quantize_view,
 )
 from .spectra import EigenDecomposition, eigh, psd_project
 from .sensitivity import (
@@ -28,11 +26,9 @@ from .sensitivity import (
 from .oracles import (
     FileFormatError,
     LossOracle,
-    MatrixBackedOracle,
     QuadraticOracle,
     ToyClassifierOracle,
     ToyModel,
-    baseline_loss,
     load_oracle,
     make_moons,
     random_quadratic,
@@ -61,9 +57,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "LayerSpec",
-    "QuantizedView",
     "quantize",
-    "quantize_view",
     "calibrate_scale_mse",
     "perturbation",
     "EigenDecomposition",
@@ -81,9 +75,7 @@ __all__ = [
     "QuadraticOracle",
     "ToyModel",
     "ToyClassifierOracle",
-    "MatrixBackedOracle",
     "FileFormatError",
-    "baseline_loss",
     "random_quadratic",
     "make_moons",
     "train_toy",

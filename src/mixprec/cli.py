@@ -15,7 +15,6 @@ import glob
 import math
 import os
 import sys
-import time
 
 import numpy as np
 
@@ -45,8 +44,9 @@ from .solver import (
     SolveReport,
     objective,
     solve_with_method,
+    sweep,
 )
-from .spectra import psd_project
+from .spectra import SYMMETRY_TOL, _require_finite, psd_project
 
 __all__ = ["main"]
 
@@ -151,16 +151,11 @@ def _budget(args) -> SizeBudget:
 def _solver_options(args, method: str) -> dict:
     if method == "exhaustive":
         return {}
-    options = {
-        "assume_psd": not args.no_psd,
-        "node_limit": args.node_limit,
-    }
-    if args.time_limit is not None:
-        options["time_limit"] = args.time_limit
-    return options
+    return {"assume_psd": not args.no_psd, "node_limit": args.node_limit,
+            "time_limit": args.time_limit}
 
 
-def _csv_row(report: SolveReport) -> list[str]:
+def _csv_row(report: SolveReport, timing: bool) -> list[str]:
     bits = "|".join(str(b) for b in report.assignment.bits) if report.assignment else ""
     return [
         _fmt(report.budget_bits / BITS_PER_MB) if report.budget_bits is not None else "",
@@ -170,19 +165,19 @@ def _csv_row(report: SolveReport) -> list[str]:
         bits,
         "true" if report.proved else "false",
         str(report.nodes),
-        "" if report.seconds is None else format(report.seconds, ".6f"),
+        format(report.seconds, ".6f") if timing and report.seconds is not None else "",
     ]
 
 
-def _write_csv(path: str, reports) -> None:
+def _write_csv(path: str, reports, timing: bool) -> None:
     with open(path, "w", encoding="ascii", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
         for report in reports:
-            writer.writerow(_csv_row(report))
+            writer.writerow(_csv_row(report, timing))
 
 
-def _print_report(report: SolveReport) -> None:
+def _print_report(report: SolveReport, timing: bool) -> None:
     print(f"method={report.method}")
     print(f"status={report.status}")
     if report.budget_bits is not None:
@@ -193,7 +188,7 @@ def _print_report(report: SolveReport) -> None:
         print(f"size_bits={report.size_bits}")
     print(f"nodes={report.nodes}")
     print(f"proved={'true' if report.proved else 'false'}")
-    if report.seconds is not None:
+    if timing:
         print(f"seconds={report.seconds:.6f}")
 
 
@@ -248,8 +243,9 @@ def cmd_import_matrix(args) -> int:
     dim = len(menu) * len(sizes)
     if dense.shape != (dim, dim):
         raise ValueError(f"{args.dense}: expected a {dim}x{dim} matrix, got {dense.shape}")
-    if np.max(np.abs(dense - dense.T), initial=0.0) > 1e-12:
-        raise ValueError(f"{args.dense}: matrix is not symmetric within 1e-12")
+    _require_finite(dense, args.dense)
+    if np.max(np.abs(dense - dense.T), initial=0.0) > SYMMETRY_TOL:
+        raise ValueError(f"{args.dense}: matrix is not symmetric within {SYMMETRY_TOL:g}")
     # Mirror the upper triangle so the stored entries are exactly symmetric.
     exact = np.triu(dense) + np.triu(dense, 1).T
     matrix = SensitivityMatrix(menu, sizes, exact, args.samples)
@@ -270,15 +266,12 @@ def cmd_solve(args) -> int:
     partition = _parse_partition(args.block_partition) if args.block_partition else None
     if args.method == "block" and partition is None:
         raise _UsageError("--method block requires --block-partition")
-    started = time.monotonic()
     report = solve_with_method(args.method, matrix, None, None, budget,
                                block_partition=partition,
                                **_solver_options(args, args.method))
-    if args.record_timing:
-        report.seconds = time.monotonic() - started
-    _print_report(report)
+    _print_report(report, args.record_timing)
     if args.out:
-        _write_csv(args.out, [report])
+        _write_csv(args.out, [report], args.record_timing)
     return EXIT_OK if report.status == "optimal" else EXIT_NO_PROOF
 
 
@@ -293,9 +286,6 @@ def cmd_sweep(args) -> int:
     else:
         budgets = [SizeBudget.from_megabytes(mb)
                    for mb in _parse_floats(args.budgets_mb, "--budgets-mb")]
-    limits = [b.limit_bits for b in budgets]
-    if limits != sorted(limits):
-        raise _UsageError("budgets must be sorted ascending")
     methods = args.methods.split(",")
     unknown = [m for m in methods if m not in METHODS]
     if unknown:
@@ -305,21 +295,11 @@ def cmd_sweep(args) -> int:
         raise _UsageError("sweeping the block method requires --block-partition")
     reports = []
     for method in methods:
-        for budget in budgets:
-            started = time.monotonic()
-            try:
-                report = solve_with_method(method, matrix, None, None, budget,
-                                           block_partition=partition,
-                                           **_solver_options(args, method))
-            except InfeasibleBudgetError:
-                report = SolveReport(method=method, status="infeasible", assignment=None,
-                                     objective=None, size_bits=None, proved=False,
-                                     budget_bits=budget.limit_bits)
-            if args.record_timing:
-                report.seconds = time.monotonic() - started
+        for report in sweep(matrix, budgets=budgets, method=method, block_partition=partition,
+                            **_solver_options(args, method)):
             reports.append(report)
-            print(f"{method} budget_bits={budget.limit_bits} status={report.status}")
-    _write_csv(args.out, reports)
+            print(f"{method} budget_bits={report.budget_bits} status={report.status}")
+    _write_csv(args.out, reports, args.record_timing)
     print(f"wrote={args.out}")
     return EXIT_OK
 

@@ -1,6 +1,6 @@
 """Loss oracles the measurement pipeline runs against.
 
-Three implementations of one interface: an ordered list of layers plus
+Two implementations of one interface: an ordered list of layers plus
 ``evaluate(perturbations)``, where ``perturbations`` maps layer index to
 an additive weight perturbation and the result is the mean loss over
 the oracle's fixed evaluation set.  Evaluation is pure: stored weights
@@ -12,8 +12,6 @@ are never mutated and repeated calls return identical values.
 * ``ToyClassifierOracle``: a small fully-connected tanh classifier on a
   deterministic two-moons dataset, trained here; the cheapest oracle
   whose curvature has genuine cross-layer structure.
-* ``MatrixBackedOracle``: replays a stored sensitivity matrix, used to
-  drive the pipeline with externally supplied values.
 
 Oracles round-trip through a little binary container: an 8-byte magic,
 a little-endian uint32 header length, a JSON header, and a float32
@@ -23,24 +21,20 @@ little-endian payload.
 from __future__ import annotations
 
 import json
-import math
 import struct
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
 import numpy as np
 
-from .quantizer import LayerSpec, perturbation
-from .sensitivity import SensitivityMatrix
+from .quantizer import LayerSpec
 
 __all__ = [
     "LossOracle",
     "QuadraticOracle",
     "ToyModel",
     "ToyClassifierOracle",
-    "MatrixBackedOracle",
     "FileFormatError",
-    "baseline_loss",
     "random_quadratic",
     "make_moons",
     "train_toy",
@@ -58,7 +52,6 @@ _TAG_TRAIN_DATA = 77
 _TAG_INIT = 13
 _TAG_EVAL_DATA = 101
 _TAG_QUADRATIC = 29
-_TAG_REPLAY = 41
 
 
 class FileFormatError(ValueError):
@@ -91,11 +84,6 @@ class LossOracle(ABC):
                     f"perturbation for layer {idx} has {arr.size} elements, expected {want}")
             checked[idx] = arr
         return checked
-
-
-def baseline_loss(oracle: LossOracle) -> float:
-    """Loss of the unperturbed model."""
-    return oracle.evaluate({})
 
 
 class QuadraticOracle(LossOracle):
@@ -346,67 +334,6 @@ def train_toy(seed: int, epochs: int = 2000, *, depth: int = 8, hidden: int = 16
     model = ToyModel(dims=dims, weights=tuple(weights), biases=tuple(biases),
                      seed=int(seed), noise=float(noise), train_count=int(train_count))
     return ToyClassifierOracle(model, eval_start=eval_start, eval_count=eval_count)
-
-
-# ---------------------------------------------------------------------------
-# replay oracle
-
-class MatrixBackedOracle(LossOracle):
-    """Replays a stored sensitivity matrix through the oracle interface.
-
-    Synthetic seeded weights stand in for the original model; each menu
-    bit-width yields a distinct precomputed perturbation per layer, and
-    ``evaluate`` recognizes incoming perturbations by exact comparison.
-    The loss of a recognized selection is half the corresponding
-    quadratic form of the stored entries (baseline 0), summed with
-    ``math.fsum``, so entry and objective queries reproduce the stored
-    values.  Combined same-layer perturbations are not replayable.
-    """
-
-    def __init__(self, matrix: SensitivityMatrix, *, seed: int = 0):
-        self.matrix = matrix
-        rng = np.random.default_rng(np.random.SeedSequence([seed, _TAG_REPLAY]))
-        # Layers shorter than 4 elements are padded up: very short vectors
-        # can be exactly representable at every bit-width, which would make
-        # their perturbations collide at zero.
-        self.layers = [
-            LayerSpec(f"replay{i}", rng.normal(size=max(int(s), 4)))
-            for i, s in enumerate(matrix.layer_sizes)
-        ]
-        self._deltas = [[perturbation(layer, b) for b in matrix.menu]
-                        for layer in self.layers]
-        for i, per_layer in enumerate(self._deltas):
-            for m in range(len(per_layer)):
-                for n in range(m + 1, len(per_layer)):
-                    if np.array_equal(per_layer[m], per_layer[n]):
-                        raise ValueError(
-                            f"replay layer {i}: bit-widths {matrix.menu.bits[m]} and "
-                            f"{matrix.menu.bits[n]} produce identical perturbations")
-
-    @property
-    def sample_count(self) -> int:
-        return self.matrix.sample_count
-
-    def evaluate(self, perturbations) -> float:
-        checked = self._check_perturbations(perturbations)
-        nb = len(self.matrix.menu)
-        selected = []
-        for idx in sorted(checked):
-            vec = checked[idx]
-            for m, delta in enumerate(self._deltas[idx]):
-                if np.array_equal(vec, delta):
-                    selected.append(idx * nb + m)
-                    break
-            else:
-                raise ValueError(
-                    f"perturbation for layer {idx} does not match any menu bit-width")
-        g = self.matrix.entries
-        terms = [g[p, p] for p in selected]
-        for a in range(len(selected)):
-            for b in range(a + 1, len(selected)):
-                terms.append(g[selected[a], selected[b]])
-                terms.append(g[selected[b], selected[a]])
-        return 0.5 * math.fsum(terms)
 
 
 # ---------------------------------------------------------------------------

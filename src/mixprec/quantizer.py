@@ -15,9 +15,7 @@ import numpy as np
 
 __all__ = [
     "LayerSpec",
-    "QuantizedView",
     "quantize",
-    "quantize_view",
     "calibrate_scale_mse",
     "perturbation",
 ]
@@ -47,22 +45,6 @@ class LayerSpec:
         return int(self.weights.size)
 
 
-@dataclass(frozen=True)
-class QuantizedView:
-    """Integer codes plus the positive scale that dequantizes them."""
-
-    scale: float
-    bits: int
-    values: np.ndarray
-
-    def __post_init__(self):
-        if not self.scale > 0:
-            raise ValueError(f"scale must be positive, got {self.scale}")
-
-    def dequantize(self) -> np.ndarray:
-        return self.values * self.scale
-
-
 def _check_bits_scale(bits: int, scale: float) -> None:
     if int(bits) != bits or bits < 2:
         raise ValueError(f"bits must be an integer >= 2, got {bits!r}")
@@ -70,26 +52,14 @@ def _check_bits_scale(bits: int, scale: float) -> None:
         raise ValueError(f"scale must be positive, got {scale!r}")
 
 
-def _codes(w: np.ndarray, bits: int, scale: float) -> np.ndarray:
-    # np.round is round-half-to-even, which keeps results platform-stable.
-    lo = -(2 ** (bits - 1))
-    hi = 2 ** (bits - 1) - 1
-    return np.clip(np.round(w / scale), lo, hi)
-
-
 def quantize(w, bits: int, scale: float) -> np.ndarray:
     """Map ``w`` to the nearest representable values at the given step size."""
     _check_bits_scale(bits, scale)
     w = np.asarray(w, dtype=np.float64)
-    return _codes(w, bits, scale) * scale
-
-
-def quantize_view(w, bits: int, scale: float) -> QuantizedView:
-    """Like :func:`quantize` but returning integer codes with the scale."""
-    _check_bits_scale(bits, scale)
-    w = np.asarray(w, dtype=np.float64)
-    codes = _codes(w, bits, scale).astype(np.int64)
-    return QuantizedView(scale=float(scale), bits=int(bits), values=codes)
+    # np.round is round-half-to-even, which keeps results platform-stable.
+    lo = -(2 ** (bits - 1))
+    hi = 2 ** (bits - 1) - 1
+    return np.clip(np.round(w / scale), lo, hi) * scale
 
 
 def _candidate_scales(amax: float, bits: int) -> np.ndarray:

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .quantizer import perturbation
+from .spectra import _require_finite
 
 __all__ = [
     "BitMenu",
@@ -87,6 +88,7 @@ class SensitivityMatrix:
         dim = len(menu) * len(sizes)
         if entries.shape != (dim, dim):
             raise ValueError(f"entries must have shape {(dim, dim)}, got {entries.shape}")
+        _require_finite(entries, "entries")
         if not np.array_equal(entries, entries.T):
             raise ValueError("entries must be exactly symmetric")
         if int(self.sample_count) < 1:

@@ -10,8 +10,8 @@ lower bounds come from a Frank-Wolfe solve of the continuous relaxation
 over the product of per-layer simplices cut by the budget half-space,
 whose linear subproblem is a multiple-choice-knapsack LP solved greedily
 on per-layer convex hulls.  ``solve_diagonal_only`` and ``solve_block``
-rerun the same search on copies with the cross-layer couplings fully or
-partially zeroed.
+rerun the same search on copies with the couplings fully or partially
+masked to zero.
 
 Reported objectives are accumulated with ``math.fsum`` so every solver
 returns bit-identical values for tied assignments, and ties break by
@@ -52,6 +52,9 @@ EXHAUSTIVE_LIMIT = 10_000_000
 # outright instead of bounded; vectorized scoring makes that cheaper than
 # grinding a relaxation bound to prune-grade accuracy.
 SUBCUBE_LIMIT = 2048
+# Frank-Wolfe stops at this relative duality gap or after this many steps.
+FW_TOL = 1e-9
+FW_MAX_ITER = 1500
 
 _ENUM_CHUNK = 100_000
 # Relative slack applied when comparing float bounds or preselecting
@@ -170,27 +173,22 @@ def objective(g, assignment: BitAssignment, *, sizes=None, menu=None) -> float:
     if len(assignment.bits) != len(layer_sizes):
         raise ValueError(
             f"assignment covers {len(assignment.bits)} layers, matrix has {len(layer_sizes)}")
-    idx = [l * nb + menu.index(b) for l, b in enumerate(assignment.bits)]
-    terms = [entries[p, p] for p in idx]
-    for a in range(len(idx)):
-        for b in range(a + 1, len(idx)):
-            terms.append(entries[idx[a], idx[b]])
-            terms.append(entries[idx[b], idx[a]])
-    return math.fsum(terms)
+    return _quadratic_form(entries, [l * nb + menu.index(b)
+                                     for l, b in enumerate(assignment.bits)])
+
+
+def _quadratic_form(entries, idx) -> float:
+    """``math.fsum`` of ``entries[p, q]`` over every ordered pair of the flat
+    indices ``idx``; exact rounding makes it independent of term order."""
+    return math.fsum(entries.take(idx, axis=0).take(idx, axis=1).ravel().tolist())
 
 
 def _exact_key(entries, menu_bits, wmat, pos):
     """Tie-break key (fsum objective, total size, bit vector) for one assignment."""
     nb = len(menu_bits)
-    idx = [l * nb + p for l, p in enumerate(pos)]
-    terms = [entries[i, i] for i in idx]
-    for a in range(len(idx)):
-        for b in range(a + 1, len(idx)):
-            terms.append(entries[idx[a], idx[b]])
-            terms.append(entries[idx[b], idx[a]])
     size = int(sum(wmat[l, p] for l, p in enumerate(pos)))
     bits = tuple(menu_bits[p] for p in pos)
-    return (math.fsum(terms), size, bits)
+    return (_quadratic_form(entries, [l * nb + p for l, p in enumerate(pos)]), size, bits)
 
 
 def _enumerate_domains(entries, menu_bits, wmat, domains, limit, chunk=_ENUM_CHUNK):
@@ -407,8 +405,10 @@ def _frank_wolfe(entries, domains, wmat, limit, tol, max_iter, stop_lb=None):
     return xf.reshape(num_layers, nb), f, gap, iters, best_lb, curvature_ok
 
 
-def _bnb_core(entries, layer_sizes, menu, budget, method, *, assume_psd,
-              node_limit, time_limit, subcube_limit, fw_tol, fw_max_iter) -> SolveReport:
+def _bnb_core(entries, layer_sizes, menu, budget, method, *, assume_psd: bool = True,
+              node_limit: int = 1_000_000, time_limit: float | None = None) -> SolveReport:
+    """Depth-first branch-and-bound; the keyword options are the only
+    per-call solver settings and their defaults are declared here."""
     menu_bits = menu.bits
     num_layers = len(layer_sizes)
     nb = len(menu_bits)
@@ -440,14 +440,14 @@ def _bnb_core(entries, layer_sizes, menu, budget, method, *, assume_psd,
         product = 1
         for dom in domains:
             product *= len(dom)
-        if product <= subcube_limit:
+        if product <= SUBCUBE_LIMIT:
             best = _enumerate_domains(entries, menu_bits, wmat, domains, limit)
             if best is not None and best[0] < inc_key:
                 inc_key, inc_pos = best
             continue
         cut = inc_key[0] + _PRUNE_SAFETY * max(1.0, abs(inc_key[0]))
         x, f, gap, iters, lb, curvature_ok = _frank_wolfe(
-            entries, domains, wmat, limit, fw_tol, fw_max_iter,
+            entries, domains, wmat, limit, FW_TOL, FW_MAX_ITER,
             stop_lb=cut if bounds_valid else None)
         fw_total += iters
         if not curvature_ok:
@@ -479,99 +479,82 @@ def _bnb_core(entries, layer_sizes, menu, budget, method, *, assume_psd,
                        budget_bits=limit)
 
 
-def solve_bnb(g, sizes=None, menu=None, budget=None, *, assume_psd: bool = True,
-              node_limit: int = 1_000_000, time_limit: float | None = None,
-              subcube_limit: int = SUBCUBE_LIMIT, fw_tol: float = 1e-9,
-              fw_max_iter: int = 1500) -> SolveReport:
+def solve_bnb(g, sizes=None, menu=None, budget=None, **options) -> SolveReport:
     """Exact branch-and-bound over one-hot assignments.
 
     With a PSD matrix the relaxation bounds are valid and the proof flag
     reports exact optimality.  ``assume_psd=False`` disables pruning (the
     bounds of an indefinite objective are meaningless), leaving a limited
-    enumeration that still returns its incumbent; pair it with
-    ``time_limit`` or ``node_limit``.
+    enumeration that still returns its incumbent; pair it with the
+    ``time_limit`` or ``node_limit`` option.  Other option names raise
+    ``TypeError``.
     """
     entries, layer_sizes, menu = _problem(g, sizes, menu)
-    return _bnb_core(entries, layer_sizes, menu, _as_budget(budget), "full",
-                     assume_psd=assume_psd, node_limit=node_limit,
-                     time_limit=time_limit, subcube_limit=subcube_limit,
-                     fw_tol=fw_tol, fw_max_iter=fw_max_iter)
+    return _bnb_core(entries, layer_sizes, menu, _as_budget(budget), "full", **options)
 
 
-def solve_diagonal_only(g, sizes=None, menu=None, budget=None, **kwargs) -> SolveReport:
+def _mask_couplings(entries, group) -> np.ndarray:
+    """Zero every entry whose row and column flat indices lie in different
+    groups; masked entries become +0.0 whatever their sign."""
+    return np.where(group[:, None] == group[None, :], entries, 0.0)
+
+
+def solve_diagonal_only(g, sizes=None, menu=None, budget=None, **options) -> SolveReport:
     """Branch-and-bound with every off-diagonal entry zeroed first."""
     entries, layer_sizes, menu = _problem(g, sizes, menu)
-    stripped = np.diag(np.diag(entries))
-    report = _bnb_core(stripped, layer_sizes, menu, _as_budget(budget), "diag",
-                       **_bnb_defaults(kwargs))
-    return report
+    stripped = _mask_couplings(entries, np.arange(len(entries)))
+    return _bnb_core(stripped, layer_sizes, menu, _as_budget(budget), "diag", **options)
 
 
-def _validate_partition(partition, num_layers):
+def _partition_groups(partition, num_layers) -> np.ndarray:
+    """Block number of each layer; the blocks must cover every layer once."""
     blocks = [tuple(int(l) for l in block) for block in partition]
     seen = [l for block in blocks for l in block]
     if sorted(seen) != list(range(num_layers)):
         raise ValueError(
             f"partition {blocks} must cover every layer 0..{num_layers - 1} exactly once")
-    return blocks
+    group = np.empty(num_layers, dtype=np.int64)
+    for b, block in enumerate(blocks):
+        group[list(block)] = b
+    return group
 
 
 def solve_block(g, sizes=None, menu=None, budget=None, block_partition=None,
-                **kwargs) -> SolveReport:
+                **options) -> SolveReport:
     """Branch-and-bound keeping couplings only inside the given layer blocks."""
     entries, layer_sizes, menu = _problem(g, sizes, menu)
     if block_partition is None:
         raise ValueError("solve_block requires a block partition")
-    blocks = _validate_partition(block_partition, len(layer_sizes))
-    nb = len(menu)
-    group = {}
-    for b, block in enumerate(blocks):
-        for l in block:
-            group[l] = b
-    mask = np.zeros_like(entries)
-    for i in range(len(layer_sizes)):
-        for j in range(len(layer_sizes)):
-            if group[i] == group[j]:
-                mask[i * nb:(i + 1) * nb, j * nb:(j + 1) * nb] = 1.0
-    stripped = entries * mask
-    return _bnb_core(stripped, layer_sizes, menu, _as_budget(budget), "block",
-                     **_bnb_defaults(kwargs))
-
-
-def _bnb_defaults(kwargs) -> dict:
-    out = {
-        "assume_psd": True,
-        "node_limit": 1_000_000,
-        "time_limit": None,
-        "subcube_limit": SUBCUBE_LIMIT,
-        "fw_tol": 1e-9,
-        "fw_max_iter": 1500,
-    }
-    unknown = set(kwargs) - set(out)
-    if unknown:
-        raise TypeError(f"unexpected solver options: {sorted(unknown)}")
-    out.update(kwargs)
-    return out
+    group = _partition_groups(block_partition, len(layer_sizes))
+    stripped = _mask_couplings(entries, np.repeat(group, len(menu)))
+    return _bnb_core(stripped, layer_sizes, menu, _as_budget(budget), "block", **options)
 
 
 def solve_with_method(method: str, g, sizes=None, menu=None, budget=None, *,
-                      block_partition=None, **kwargs) -> SolveReport:
-    """Dispatch by method name: full, diag, block, or exhaustive."""
+                      block_partition=None, **options) -> SolveReport:
+    """Dispatch by method name: full, diag, block, or exhaustive.
+
+    The report's ``seconds`` holds the wall time of the solve.
+    """
+    started = time.monotonic()
     if method == "full":
-        return solve_bnb(g, sizes, menu, budget, **_bnb_defaults(kwargs))
-    if method == "diag":
-        return solve_diagonal_only(g, sizes, menu, budget, **kwargs)
-    if method == "block":
-        return solve_block(g, sizes, menu, budget, block_partition, **kwargs)
-    if method == "exhaustive":
-        if kwargs:
-            raise TypeError(f"exhaustive solve takes no options, got {sorted(kwargs)}")
-        return solve_exhaustive(g, sizes, menu, budget)
-    raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+        report = solve_bnb(g, sizes, menu, budget, **options)
+    elif method == "diag":
+        report = solve_diagonal_only(g, sizes, menu, budget, **options)
+    elif method == "block":
+        report = solve_block(g, sizes, menu, budget, block_partition, **options)
+    elif method == "exhaustive":
+        if options:
+            raise TypeError(f"exhaustive solve takes no options, got {sorted(options)}")
+        report = solve_exhaustive(g, sizes, menu, budget)
+    else:
+        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+    report.seconds = time.monotonic() - started
+    return report
 
 
 def sweep(g, sizes=None, menu=None, budgets=None, *, method: str = "full",
-          block_partition=None, **kwargs) -> list[SolveReport]:
+          block_partition=None, **options) -> list[SolveReport]:
     """One solve per budget, budgets ascending; infeasible points are
     reported inline instead of raising."""
     if budgets is None:
@@ -584,7 +567,7 @@ def sweep(g, sizes=None, menu=None, budgets=None, *, method: str = "full",
     for b in coerced:
         try:
             reports.append(solve_with_method(method, g, sizes, menu, b,
-                                             block_partition=block_partition, **kwargs))
+                                             block_partition=block_partition, **options))
         except InfeasibleBudgetError:
             reports.append(SolveReport(method=method, status="infeasible",
                                        assignment=None, objective=None,

@@ -1,15 +1,14 @@
 """Symmetric eigendecomposition and projection onto the PSD cone.
 
-The eigensolver is a cyclic Jacobi iteration: dependency-free,
-deterministic, and accurate enough for the few-hundred-dimensional
-sensitivity matrices this package produces.  Projection zeroes every
-non-positive eigenvalue and rebuilds the matrix, which is the
-Frobenius-nearest positive-semidefinite matrix.
+The eigensolver is LAPACK's, through ``numpy.linalg.eigh``, wrapped in
+a fixed order and sign convention so the decomposition is a pure
+function of the input.  Projection zeroes every non-positive eigenvalue
+and rebuilds the matrix, which is the Frobenius-nearest
+positive-semidefinite matrix (Higham, Linear Algebra Appl. 103, 1988).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,9 +18,6 @@ __all__ = ["EigenDecomposition", "eigh", "psd_project", "SYMMETRY_TOL"]
 # Inputs may carry round-off asymmetry up to this bound; anything larger
 # is treated as a caller error rather than silently averaged away.
 SYMMETRY_TOL = 1e-12
-
-_OFF_DIAG_TOL = 1e-15
-_MAX_SWEEPS = 60
 
 
 @dataclass(frozen=True)
@@ -36,65 +32,25 @@ class EigenDecomposition:
         return (v * self.eigenvalues) @ v.T
 
 
+def _require_finite(a: np.ndarray, what: str) -> None:
+    """Reject NaN and infinite values, naming the first one in row-major order."""
+    bad = np.argwhere(~np.isfinite(a))
+    if bad.size:
+        row, col = (int(i) for i in bad[0])
+        raise ValueError(f"{what} holds a non-finite value {a[row, col]} at ({row}, {col})")
+
+
 def _require_symmetric(a: np.ndarray) -> np.ndarray:
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     if a.shape[0] == 0:
         raise ValueError("expected a non-empty matrix")
+    _require_finite(a, "matrix")
     if np.max(np.abs(a - a.T), initial=0.0) > SYMMETRY_TOL:
         raise ValueError("matrix is not symmetric within tolerance")
-    # Absorb round-off so the iteration sees an exactly symmetric matrix.
+    # Absorb round-off so LAPACK, which reads one triangle, sees the mean.
     return 0.5 * (a + a.T)
-
-
-def _jacobi(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    n = a.shape[0]
-    v = np.eye(n)
-    if n == 1:
-        return np.diag(a).copy(), v
-    norm = float(np.linalg.norm(a))
-    if norm == 0.0:
-        return np.zeros(n), v
-    previous = math.inf
-    for _ in range(_MAX_SWEEPS):
-        squares = a * a
-        squares[np.diag_indices(n)] = 0.0
-        off = float(np.sqrt(squares.sum()))
-        # Every sweep strictly shrinks the off-diagonal mass in exact
-        # arithmetic, so a plateau means the float floor is reached.
-        if off <= _OFF_DIAG_TOL * norm or off >= previous:
-            break
-        previous = off
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                diff = a[q, q] - a[p, p]
-                if abs(apq) < 1e-36 * abs(diff):
-                    # limit of the stable formula below; avoids overflow
-                    t = apq / diff
-                else:
-                    theta = 0.5 * diff / apq
-                    if theta == 0.0:
-                        t = 1.0
-                    else:
-                        t = np.sign(theta) / (abs(theta) + np.hypot(1.0, theta))
-                c = 1.0 / np.hypot(1.0, t)
-                s = t * c
-                rp, rq = a[p, :].copy(), a[q, :].copy()
-                a[p, :] = c * rp - s * rq
-                a[q, :] = s * rp + c * rq
-                cp, cq = a[:, p].copy(), a[:, q].copy()
-                a[:, p] = c * cp - s * cq
-                a[:, q] = s * cp + c * cq
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                vp, vq = v[:, p].copy(), v[:, q].copy()
-                v[:, p] = c * vp - s * vq
-                v[:, q] = s * vp + c * vq
-    return np.diag(a).copy(), v
 
 
 def eigh(a) -> EigenDecomposition:
@@ -104,15 +60,11 @@ def eigh(a) -> EigenDecomposition:
     that its largest-magnitude component is positive, which makes the
     decomposition a pure function of the input.
     """
-    work = _require_symmetric(a)
-    values, vectors = _jacobi(work)
-    order = np.argsort(-values, kind="stable")
-    values = values[order]
-    vectors = vectors[:, order]
-    for k in range(vectors.shape[1]):
-        lead = int(np.argmax(np.abs(vectors[:, k])))
-        if vectors[lead, k] < 0:
-            vectors[:, k] = -vectors[:, k]
+    values, vectors = np.linalg.eigh(_require_symmetric(a))
+    # LAPACK returns ascending eigenvalues; flip to descending.
+    values, vectors = values[::-1], vectors[:, ::-1]
+    lead = vectors[np.argmax(np.abs(vectors), axis=0), np.arange(len(values))]
+    vectors = vectors * np.where(lead < 0, -1.0, 1.0)
     return EigenDecomposition(eigenvalues=values, eigenvectors=vectors)
 
 

@@ -1,5 +1,6 @@
 """Shared fixtures-in-spirit for the test suite: golden micro-instances,
-an evaluation-counting oracle wrapper, and an in-process CLI runner.
+an evaluation-counting oracle wrapper, a matrix replay oracle, and an
+in-process CLI runner.
 """
 
 from __future__ import annotations
@@ -9,8 +10,12 @@ import io
 
 import numpy as np
 
-from mixprec import BitMenu, SensitivityMatrix
+from mixprec import BitMenu, LayerSpec, LossOracle, SensitivityMatrix, perturbation
 from mixprec.cli import main as cli_main
+from mixprec.solver import _quadratic_form
+
+# Seed-stream tag of the replay oracle's synthetic weights.
+_TAG_REPLAY = 41
 
 
 def golden_quartet_matrix() -> SensitivityMatrix:
@@ -69,6 +74,58 @@ class CountingOracle:
     def evaluate(self, perturbations) -> float:
         self.calls += 1
         return self._inner.evaluate(perturbations)
+
+
+class MatrixBackedOracle(LossOracle):
+    """Replays a stored sensitivity matrix through the oracle interface.
+
+    Synthetic seeded weights stand in for the original model; each menu
+    bit-width yields a distinct precomputed perturbation per layer, and
+    ``evaluate`` recognizes incoming perturbations by exact comparison.
+    The loss of a recognized selection is half the corresponding
+    quadratic form of the stored entries (baseline 0), summed with the
+    solver's fsum helper, so entry and objective queries reproduce the
+    stored values.  Combined same-layer perturbations are not replayable.
+    """
+
+    def __init__(self, matrix: SensitivityMatrix, *, seed: int = 0):
+        self.matrix = matrix
+        rng = np.random.default_rng(np.random.SeedSequence([seed, _TAG_REPLAY]))
+        # Layers shorter than 4 elements are padded up: very short vectors
+        # can be exactly representable at every bit-width, which would make
+        # their perturbations collide at zero.
+        self.layers = [
+            LayerSpec(f"replay{i}", rng.normal(size=max(int(s), 4)))
+            for i, s in enumerate(matrix.layer_sizes)
+        ]
+        self._deltas = [[perturbation(layer, b) for b in matrix.menu]
+                        for layer in self.layers]
+        for i, per_layer in enumerate(self._deltas):
+            for m in range(len(per_layer)):
+                for n in range(m + 1, len(per_layer)):
+                    if np.array_equal(per_layer[m], per_layer[n]):
+                        raise ValueError(
+                            f"replay layer {i}: bit-widths {matrix.menu.bits[m]} and "
+                            f"{matrix.menu.bits[n]} produce identical perturbations")
+
+    @property
+    def sample_count(self) -> int:
+        return self.matrix.sample_count
+
+    def evaluate(self, perturbations) -> float:
+        checked = self._check_perturbations(perturbations)
+        nb = len(self.matrix.menu)
+        selected = []
+        for idx in sorted(checked):
+            vec = checked[idx]
+            for m, delta in enumerate(self._deltas[idx]):
+                if np.array_equal(vec, delta):
+                    selected.append(idx * nb + m)
+                    break
+            else:
+                raise ValueError(
+                    f"perturbation for layer {idx} does not match any menu bit-width")
+        return 0.5 * _quadratic_form(self.matrix.entries, selected)
 
 
 def run_cli(*args: str) -> tuple[int, str, str]:

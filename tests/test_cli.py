@@ -262,6 +262,27 @@ def test_sweep_marks_infeasible_rows(quad_setup, tmp_path):
     assert second["optimal"] == "true"
 
 
+def test_sweep_record_timing(quad_setup, tmp_path):
+    _, cache = quad_setup
+    args = ("sweep", "--cache-dir", str(cache), "--budgets-bits", "10,45,72",
+            "--methods", "full,exhaustive", "--out")
+    timed = tmp_path / "timed.csv"
+    code, _, _ = run_cli(*args, str(timed), "--record-timing")
+    assert code == 0
+    with open(timed, newline="") as fh:
+        rows = [dict(zip(CSV_COLUMNS, r)) for r in list(csv.reader(fh))[1:]]
+    assert len(rows) == 6
+    for row in rows:
+        if row["bits"]:
+            assert float(row["seconds"]) >= 0.0
+    assert sum(1 for row in rows if row["bits"]) == 4
+    plain = tmp_path / "plain.csv"
+    code, _, _ = run_cli(*args, str(plain))
+    assert code == 0
+    with open(plain, newline="") as fh:
+        assert all(r[-1] == "" for r in list(csv.reader(fh))[1:])
+
+
 def test_sweep_validation(quad_setup, tmp_path):
     _, cache = quad_setup
     out_csv = tmp_path / "x.csv"

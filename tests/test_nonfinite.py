@@ -1,0 +1,68 @@
+"""NaN and infinite values are rejected on every path into the pipeline,
+with an error that names the first offending (row, col)."""
+
+import numpy as np
+import pytest
+
+from mixprec.sensitivity import BitMenu, SensitivityMatrix, load_matrix, save_matrix
+from mixprec.spectra import eigh, psd_project
+
+from helpers import golden_quartet_matrix, run_cli
+
+BAD_VALUES = (np.nan, np.inf)
+
+
+def _poisoned(value, row, col):
+    entries = golden_quartet_matrix().entries.copy()
+    entries[row, col] = value
+    entries[col, row] = value
+    return entries
+
+
+@pytest.mark.parametrize("value", BAD_VALUES)
+def test_sensitivity_matrix_rejects_non_finite(value):
+    with pytest.raises(ValueError, match=r"non-finite.*\(2, 2\)"):
+        SensitivityMatrix(BitMenu((2, 32)), (1, 1, 1, 1), _poisoned(value, 2, 2), 1)
+    # an off-diagonal pair reports its upper-triangle position first
+    with pytest.raises(ValueError, match=r"non-finite.*\(0, 6\)"):
+        SensitivityMatrix(BitMenu((2, 32)), (1, 1, 1, 1), _poisoned(value, 6, 0), 1)
+
+
+@pytest.mark.parametrize("value", BAD_VALUES)
+@pytest.mark.parametrize("func", (eigh, psd_project))
+def test_spectra_rejects_non_finite(func, value):
+    with pytest.raises(ValueError, match=r"non-finite.*\(4, 4\)"):
+        func(_poisoned(value, 4, 4))
+    with pytest.raises(ValueError, match=r"non-finite.*\(1, 3\)"):
+        func(_poisoned(value, 1, 3))
+
+
+@pytest.mark.parametrize("text", ("inf", "nan"))
+def test_load_matrix_rejects_non_finite_record(tmp_path, text):
+    path = tmp_path / "batch-000000.txt"
+    save_matrix(golden_quartet_matrix(), path)
+    lines = path.read_text().splitlines()
+    index = next(k for k, line in enumerate(lines) if line.startswith("2 2 "))
+    lines[index] = f"2 2 {text}"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=r"non-finite.*\(2, 2\)"):
+        load_matrix(path)
+
+
+@pytest.mark.parametrize("value", BAD_VALUES)
+def test_import_matrix_rejects_non_finite(tmp_path, value):
+    dense = tmp_path / "dense.txt"
+    cache = tmp_path / "cache"
+    np.savetxt(dense, _poisoned(value, 6, 6), fmt="%.17g")
+    code, _, err = run_cli("import-matrix", "--dense", str(dense), "--bits", "2,32",
+                           "--sizes", "1,1,1,1", "--cache-dir", str(cache))
+    assert code == 5
+    assert "non-finite" in err and "(6, 6)" in err
+    assert not list(cache.glob("batch-*.txt"))
+    # a lone infinite entry is reported as such, not as an asymmetry
+    lone = golden_quartet_matrix().entries.copy()
+    lone[0, 2] = value
+    np.savetxt(dense, lone, fmt="%.17g")
+    code, _, err = run_cli("import-matrix", "--dense", str(dense), "--bits", "2,32",
+                           "--sizes", "1,1,1,1", "--cache-dir", str(cache))
+    assert code == 5 and "(0, 2)" in err and "symmetric" not in err

@@ -3,9 +3,7 @@ import pytest
 
 from mixprec.oracles import (
     FileFormatError,
-    MatrixBackedOracle,
     QuadraticOracle,
-    baseline_loss,
     load_oracle,
     make_moons,
     random_quadratic,
@@ -16,7 +14,7 @@ from mixprec.oracles import (
 from mixprec.sensitivity import BitMenu, SensitivityMatrix, build_matrix
 from mixprec.quantizer import perturbation
 
-from helpers import golden_quartet_matrix
+from helpers import MatrixBackedOracle, golden_quartet_matrix
 
 
 # ---------------------------------------------------------------------------
@@ -104,11 +102,6 @@ def test_random_quadratic_validation():
         random_quadratic(0, [2, 2], 0.5, coupling_decay=0.0)
     with pytest.raises(ValueError):
         random_quadratic(0, [2, 2], 0.5, coupling_decay=1.5)
-
-
-def test_baseline_loss_helper():
-    q = QuadraticOracle([[1.0]], [0.0], [1], baseline=0.25)
-    assert baseline_loss(q) == 0.25
 
 
 # ---------------------------------------------------------------------------

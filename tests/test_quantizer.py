@@ -6,7 +6,6 @@ from mixprec.quantizer import (
     calibrate_scale_mse,
     perturbation,
     quantize,
-    quantize_view,
     _candidate_scales,
 )
 
@@ -42,21 +41,6 @@ def test_quantize_rejects_bad_bits_and_scale():
         quantize([1.0], 4, 0.0)
     with pytest.raises(ValueError):
         quantize([1.0], 4, -1.0)
-
-
-def test_view_matches_dense_quantize():
-    rng = np.random.default_rng(7)
-    w = rng.normal(size=64)
-    view = quantize_view(w, 5, 0.03)
-    assert view.values.dtype == np.int64
-    assert view.bits == 5 and view.scale == 0.03
-    assert np.array_equal(view.dequantize(), quantize(w, 5, 0.03))
-    assert view.values.min() >= -16 and view.values.max() <= 15
-
-
-def test_view_rejects_nonpositive_scale():
-    with pytest.raises(ValueError):
-        quantize_view([1.0], 4, 0.0)
 
 
 def test_layer_spec_validation_and_immutability():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.optimize
 
+from mixprec import solver
 from mixprec.oracles import random_quadratic
 from mixprec.sensitivity import BitMenu, SensitivityMatrix, build_matrix
 from mixprec.solver import (
@@ -23,6 +24,9 @@ from mixprec.solver import (
     sweep,
     _frank_wolfe,
     _lmo,
+    _mask_couplings,
+    _partition_groups,
+    _quadratic_form,
 )
 from mixprec.spectra import psd_project
 
@@ -430,3 +434,63 @@ def test_sweep_inline_infeasible_and_order_check():
         sweep(m, budgets=[lo + 5, lo])
     with pytest.raises(ValueError):
         sweep(m, budgets=None)
+
+
+# ---------------------------------------------------------------------------
+# paths the default settings may skip
+
+def test_bounding_path_matches_exhaustive(monkeypatch):
+    # A tiny enumeration cutoff sends every node through Frank-Wolfe and
+    # the LMO, whatever SUBCUBE_LIMIT is tuned to.
+    monkeypatch.setattr(solver, "SUBCUBE_LIMIT", 4)
+    rng = np.random.default_rng(2024)
+    for case in range(10):
+        menu = (2, 8) if case % 3 == 0 else (2, 4, 8)
+        num_layers = int(rng.integers(4, 9)) if case % 3 == 0 else int(rng.integers(3, 7))
+        sizes = [int(s) for s in rng.integers(2, 5, size=num_layers)]
+        m = _instance(case, sizes, menu, rho=float(rng.uniform(0.2, 1.0)))
+        budget = _mid_budget(m, float(rng.uniform(0.2, 0.8)))
+        reference = solve_exhaustive(m, budget=budget)
+        report = solve_bnb(m, budget=budget)
+        assert report.fw_iterations > 0
+        assert report.proved
+        assert report.objective == reference.objective
+        assert report.assignment.bits == reference.assignment.bits
+        assert report.size_bits == reference.size_bits
+
+
+def test_block_extremes_equal_full_and_diagonal():
+    # Without same-layer cross-bit entries, one all-layer block keeps every
+    # coupling and singleton blocks keep only the diagonal.
+    m = _instance(11, [2] * 12, (2, 8), rho=0.6, psd=False)
+    assert m.has_block_zeros()
+    budget = _mid_budget(m, 0.5)
+
+    def summary(report):
+        return (report.assignment.bits, report.objective, report.nodes, report.fw_iterations)
+
+    one_block = solve_block(m, budget=budget, block_partition=[tuple(range(12))])
+    full = solve_bnb(m, budget=budget)
+    assert full.nodes > 1
+    assert summary(one_block) == summary(full)
+    singletons = solve_block(m, budget=budget, block_partition=[(l,) for l in range(12)])
+    assert summary(singletons) == summary(solve_diagonal_only(m, budget=budget))
+
+
+def test_vectorized_helpers_match_loop_references():
+    rng = np.random.default_rng(5)
+    entries = rng.normal(size=(12, 12))  # deliberately not symmetric
+    for idx in ([3], [0, 4, 8], [2, 3, 7, 9, 11]):
+        terms = [entries[p, p] for p in idx]
+        for a in range(len(idx)):
+            for b in range(a + 1, len(idx)):
+                terms += [entries[idx[a], idx[b]], entries[idx[b], idx[a]]]
+        assert _quadratic_form(entries, idx) == math.fsum(terms)
+    # four layers of three menu positions, blocks {0, 2} and {1, 3}
+    group = _partition_groups([(2, 0), (3, 1)], 4)
+    masked = _mask_couplings(entries, np.repeat(group, 3))
+    for p in range(12):
+        for q in range(12):
+            same = (p // 3) % 2 == (q // 3) % 2
+            assert masked[p, q] == (entries[p, q] if same else 0.0)
+            assert same or math.copysign(1.0, masked[p, q]) == 1.0
