@@ -18,8 +18,6 @@ from .sensitivity import (
     SensitivityMatrix,
     build_matrix,
     load_matrix,
-    measure_cross,
-    measure_diagonal,
     merge_batches,
     save_matrix,
 )
@@ -65,8 +63,6 @@ __all__ = [
     "psd_project",
     "BitMenu",
     "SensitivityMatrix",
-    "measure_diagonal",
-    "measure_cross",
     "build_matrix",
     "merge_batches",
     "save_matrix",

@@ -151,8 +151,7 @@ def _budget(args) -> SizeBudget:
 def _solver_options(args, method: str) -> dict:
     if method == "exhaustive":
         return {}
-    return {"assume_psd": not args.no_psd, "node_limit": args.node_limit,
-            "time_limit": args.time_limit}
+    return {"node_limit": args.node_limit, "time_limit": args.time_limit}
 
 
 def _csv_row(report: SolveReport, timing: bool) -> list[str]:
@@ -334,7 +333,7 @@ def _add_cache_arg(parser) -> None:
 
 def _add_solver_args(parser) -> None:
     parser.add_argument("--no-psd", action="store_true",
-                        help="skip the PSD projection; disables bound-based pruning")
+                        help="skip the PSD projection; prune only if the raw matrix is PSD")
     parser.add_argument("--node-limit", type=int, default=1_000_000)
     parser.add_argument("--time-limit", type=float, default=None,
                         help="per-solve wall-clock limit in seconds")

@@ -24,6 +24,8 @@ __all__ = [
 SCALE_SPAN_LO = 0.01
 SCALE_SPAN_HI = 1.2
 SCALE_CANDIDATES = 200
+# Candidate x weight elements scored at once, bounding calibration memory.
+_CALIBRATE_CHUNK = 2 ** 20
 
 
 @dataclass(frozen=True)
@@ -87,8 +89,12 @@ def calibrate_scale_mse(w, bits: int) -> float:
     cands = _candidate_scales(amax, bits)
     lo = -(2 ** (bits - 1))
     hi = 2 ** (bits - 1) - 1
-    q = np.clip(np.round(w[None, :] / cands[:, None]), lo, hi) * cands[:, None]
-    mse = np.mean((q - w[None, :]) ** 2, axis=1)
+    rows = max(1, _CALIBRATE_CHUNK // w.size)
+    mse = np.empty(len(cands))
+    for start in range(0, len(cands), rows):
+        c = cands[start:start + rows, None]
+        q = np.clip(np.round(w[None, :] / c), lo, hi) * c
+        mse[start:start + rows] = np.mean((q - w[None, :]) ** 2, axis=1)
     return float(cands[int(np.argmin(mse))])
 
 

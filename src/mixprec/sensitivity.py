@@ -18,6 +18,7 @@ both, and the measurement loop never fills them.
 from __future__ import annotations
 
 import os
+import tempfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,8 +29,6 @@ from .spectra import _require_finite
 __all__ = [
     "BitMenu",
     "SensitivityMatrix",
-    "measure_diagonal",
-    "measure_cross",
     "build_matrix",
     "merge_batches",
     "save_matrix",
@@ -124,47 +123,15 @@ class SensitivityMatrix:
         return True
 
 
-def measure_diagonal(oracle, layer: int, bits: int, *, baseline=None, delta=None) -> float:
-    """Single-layer sensitivity: twice the loss increase of quantizing one layer."""
-    if baseline is None:
-        baseline = oracle.evaluate({})
-    if delta is None:
-        delta = perturbation(oracle.layers[layer], bits)
-    loss = oracle.evaluate({layer: delta})
-    return 2.0 * (loss - baseline)
-
-
-def measure_cross(oracle, i: int, m_bits: int, j: int, n_bits: int,
-                  diag_ii: float, diag_jj: float, *,
-                  baseline=None, delta_i=None, delta_j=None) -> float:
-    """Pairwise sensitivity from one joint evaluation and the two diagonals.
-
-    Requires ``i < j``.  Algebraically this equals the four-evaluation
-    difference ``loss(both) + loss(none) - loss(i) - loss(j)``; reusing the
-    already-measured diagonals keeps it to a single new evaluation.
-    """
-    if i == j:
-        raise ValueError("cross measurement needs two distinct layers")
-    if i > j:
-        raise ValueError(f"cross measurement expects i < j, got i={i}, j={j}")
-    if baseline is None:
-        baseline = oracle.evaluate({})
-    if delta_i is None:
-        delta_i = perturbation(oracle.layers[i], m_bits)
-    if delta_j is None:
-        delta_j = perturbation(oracle.layers[j], n_bits)
-    joint = oracle.evaluate({i: delta_i, j: delta_j})
-    return joint - baseline - 0.5 * diag_ii - 0.5 * diag_jj
-
-
 def build_matrix(oracle, menu, *, include_same_layer_cross: bool = False) -> SensitivityMatrix:
     """Measure the full sensitivity matrix of an oracle.
 
     Costs exactly ``1 + |B|L + |B|^2 L(L-1)/2`` loss evaluations: one
     baseline, one per (layer, bit-width), and one joint evaluation per
-    cross pair.  The upper triangle is measured in lexicographic order
-    and mirrored, so the result is exactly symmetric and bit-identical
-    across runs for a deterministic oracle.
+    cross pair, ``G_pq = loss(p and q) - baseline - G_pp/2 - G_qq/2``.
+    The upper triangle is measured in lexicographic order and mirrored,
+    so the result is exactly symmetric and bit-identical across runs for
+    a deterministic oracle.
 
     ``include_same_layer_cross=True`` additionally measures the
     couplings between two bit-widths of the same layer by applying both
@@ -186,17 +153,15 @@ def build_matrix(oracle, menu, *, include_same_layer_cross: bool = False) -> Sen
     for i in range(num_layers):
         for m in range(nb):
             p = i * nb + m
-            g[p, p] = measure_diagonal(oracle, i, menu.bits[m],
-                                       baseline=baseline, delta=deltas[i][m])
+            g[p, p] = 2.0 * (oracle.evaluate({i: deltas[i][m]}) - baseline)
     for i in range(num_layers - 1):
         for j in range(i + 1, num_layers):
             for m in range(nb):
                 for n in range(nb):
                     p = i * nb + m
                     q = j * nb + n
-                    val = measure_cross(oracle, i, menu.bits[m], j, menu.bits[n],
-                                        g[p, p], g[q, q], baseline=baseline,
-                                        delta_i=deltas[i][m], delta_j=deltas[j][n])
+                    joint = oracle.evaluate({i: deltas[i][m], j: deltas[j][n]})
+                    val = joint - baseline - 0.5 * g[p, p] - 0.5 * g[q, q]
                     g[p, q] = val
                     g[q, p] = val
     if include_same_layer_cross:
@@ -264,10 +229,16 @@ def save_matrix(matrix: SensitivityMatrix, path) -> None:
     for p in range(dim):
         for q in range(p, dim):
             lines.append(f"{p} {q} {matrix.entries[p, q]:.17g}")
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-    os.replace(tmp, path)
+    # One temp file per writer, so concurrent writers never share one.
+    fd, tmp = tempfile.mkstemp(prefix=os.path.basename(path) + ".", suffix=".tmp",
+                               dir=os.path.dirname(os.path.abspath(path)))
+    try:
+        with os.fdopen(fd, "w", encoding="ascii", newline="\n") as fh:
+            fh.write("\n".join(lines) + "\n")
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _header_value(line: str, key: str) -> str:

@@ -9,9 +9,9 @@ search spaces).  ``solve_bnb`` is an exact depth-first branch-and-bound:
 lower bounds come from a Frank-Wolfe solve of the continuous relaxation
 over the product of per-layer simplices cut by the budget half-space,
 whose linear subproblem is a multiple-choice-knapsack LP solved greedily
-on per-layer convex hulls.  ``solve_diagonal_only`` and ``solve_block``
-rerun the same search on copies with the couplings fully or partially
-masked to zero.
+on per-layer convex hulls; they prune only if the searched matrix is
+PSD.  ``solve_diagonal_only`` and ``solve_block`` rerun the same search
+on copies with the couplings fully or partially masked to zero.
 
 Reported objectives are accumulated with ``math.fsum`` so every solver
 returns bit-identical values for tied assignments, and ties break by
@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .sensitivity import BitMenu, SensitivityMatrix
+from .spectra import _is_psd
 
 __all__ = [
     "BitAssignment",
@@ -57,8 +58,8 @@ FW_TOL = 1e-9
 FW_MAX_ITER = 1500
 
 _ENUM_CHUNK = 100_000
-# Relative slack applied when comparing float bounds or preselecting
-# near-minimal rows; orders of magnitude above accumulation round-off.
+# Relative slack applied when preselecting near-minimal rows; orders of
+# magnitude above accumulation round-off.
 _SAFETY = 1e-12
 _PRUNE_SAFETY = 1e-9
 
@@ -191,7 +192,7 @@ def _exact_key(entries, menu_bits, wmat, pos):
     return (_quadratic_form(entries, [l * nb + p for l, p in enumerate(pos)]), size, bits)
 
 
-def _enumerate_domains(entries, menu_bits, wmat, domains, limit, chunk=_ENUM_CHUNK):
+def _enumerate_domains(entries, menu_bits, wmat, domains, limit):
     """Best (key, pos) over a restricted search box, or None if all infeasible.
 
     Chunks are scored with vectorized float sums, near-minimal rows are kept
@@ -207,8 +208,8 @@ def _enumerate_domains(entries, menu_bits, wmat, domains, limit, chunk=_ENUM_CHU
     dom_arrays = [np.asarray(d, dtype=np.int64) for d in domains]
     offsets = (np.arange(num_layers, dtype=np.int64) * nb)[None, :]
     candidates = []
-    for start in range(0, total, chunk):
-        stop = min(start + chunk, total)
+    for start in range(0, total, _ENUM_CHUNK):
+        stop = min(start + _ENUM_CHUNK, total)
         grid = np.unravel_index(np.arange(start, stop), shape)
         pos = np.stack([dom_arrays[l][grid[l]] for l in range(num_layers)], axis=1)
         size = np.zeros(stop - start, dtype=np.int64)
@@ -250,7 +251,7 @@ def _enumerate_domains(entries, menu_bits, wmat, domains, limit, chunk=_ENUM_CHU
     return best
 
 
-def solve_exhaustive(g, sizes=None, menu=None, budget=None, *, chunk=_ENUM_CHUNK) -> SolveReport:
+def solve_exhaustive(g, sizes=None, menu=None, budget=None) -> SolveReport:
     """Globally optimal assignment by full enumeration.
 
     Refuses search spaces above ``EXHAUSTIVE_LIMIT`` assignments.
@@ -270,8 +271,7 @@ def solve_exhaustive(g, sizes=None, menu=None, budget=None, *, chunk=_ENUM_CHUNK
         raise InfeasibleBudgetError(
             f"smallest model needs {min_total} bits, budget is {budget.limit_bits}")
     domains = tuple(tuple(range(nb)) for _ in range(num_layers))
-    key, _pos = _enumerate_domains(entries, menu_bits, wmat, domains,
-                                   budget.limit_bits, chunk=chunk)
+    key, _pos = _enumerate_domains(entries, menu_bits, wmat, domains, budget.limit_bits)
     return SolveReport(method="exhaustive", status="optimal",
                        assignment=BitAssignment(key[2]), objective=key[0],
                        size_bits=key[1], proved=True, nodes=total,
@@ -345,10 +345,8 @@ def _lmo(cost, domains, wmat, limit):
 def _frank_wolfe(entries, domains, wmat, limit, tol, max_iter, stop_lb=None):
     """Minimize ``x' G x`` over the relaxation; returns the best dual bound seen.
 
-    Each ``f - gap`` is a valid lower bound when the objective is convex;
-    a negative-curvature direction disproves convexity and is reported so
-    callers can stop trusting the bounds.  Iteration stops once the gap
-    is small, the bound clears ``stop_lb`` (the caller's pruning cut), or
+    Each ``f - gap`` is a valid lower bound when ``entries`` is positive
+    semidefinite.  Iteration stops once the gap is small, the bound clears ``stop_lb`` (the caller's pruning cut), or
     the bound stops improving; the rate is sublinear on singular
     matrices, so chasing the gap itself can be hopeless.
     """
@@ -361,7 +359,6 @@ def _frank_wolfe(entries, domains, wmat, limit, tol, max_iter, stop_lb=None):
     gx = entries @ xf
     f = float(xf @ gx)
     best_lb = -math.inf
-    curvature_ok = True
     gap = math.inf
     iters = 0
     window_best = -math.inf
@@ -391,8 +388,6 @@ def _frank_wolfe(entries, domains, wmat, limit, tol, max_iter, stop_lb=None):
             gamma = -xgd / dgd
             gamma = min(1.0, max(0.0, gamma))
         else:
-            if dgd < -_SAFETY * max(1.0, abs(f)):
-                curvature_ok = False
             # Concave along the segment and decreasing at 0: endpoint is best.
             gamma = 1.0
         if gamma == 0.0:
@@ -402,10 +397,10 @@ def _frank_wolfe(entries, domains, wmat, limit, tol, max_iter, stop_lb=None):
         if (it + 1) % 64 == 0:
             gx = entries @ xf
         f = float(xf @ gx)
-    return xf.reshape(num_layers, nb), f, gap, iters, best_lb, curvature_ok
+    return xf.reshape(num_layers, nb), f, gap, iters, best_lb
 
 
-def _bnb_core(entries, layer_sizes, menu, budget, method, *, assume_psd: bool = True,
+def _bnb_core(entries, layer_sizes, menu, budget, method, *,
               node_limit: int = 1_000_000, time_limit: float | None = None) -> SolveReport:
     """Depth-first branch-and-bound; the keyword options are the only
     per-call solver settings and their defaults are declared here."""
@@ -424,8 +419,7 @@ def _bnb_core(entries, layer_sizes, menu, budget, method, *, assume_psd: bool = 
     stack = [root]
     nodes = 0
     fw_total = 0
-    prunes = 0
-    bounds_valid = bool(assume_psd)
+    bounds_valid = _is_psd(entries)
     limited = False
     deadline = None if time_limit is None else time.monotonic() + float(time_limit)
     while stack:
@@ -446,14 +440,11 @@ def _bnb_core(entries, layer_sizes, menu, budget, method, *, assume_psd: bool = 
                 inc_key, inc_pos = best
             continue
         cut = inc_key[0] + _PRUNE_SAFETY * max(1.0, abs(inc_key[0]))
-        x, f, gap, iters, lb, curvature_ok = _frank_wolfe(
+        x, f, gap, iters, lb = _frank_wolfe(
             entries, domains, wmat, limit, FW_TOL, FW_MAX_ITER,
             stop_lb=cut if bounds_valid else None)
         fw_total += iters
-        if not curvature_ok:
-            bounds_valid = False
         if bounds_valid and lb >= cut:
-            prunes += 1
             continue
         rounded = tuple(dom[int(np.argmax(x[l, list(dom)]))] for l, dom in enumerate(domains))
         if sum(int(wmat[l, p]) for l, p in enumerate(rounded)) <= limit:
@@ -469,9 +460,7 @@ def _bnb_core(entries, layer_sizes, menu, budget, method, *, assume_psd: bool = 
             child = tuple((m,) if l == branch_layer else dom
                           for l, dom in enumerate(domains))
             stack.append(child)
-    # A finished search proves optimality unless pruning relied on a PSD
-    # assumption the search itself disproved along the way.
-    proved = (not limited) and (bounds_valid or prunes == 0)
+    proved = not limited
     return SolveReport(method=method, status="optimal" if proved else "incumbent",
                        assignment=BitAssignment(inc_key[2]), objective=inc_key[0],
                        size_bits=inc_key[1], proved=proved, nodes=nodes,
@@ -482,12 +471,11 @@ def _bnb_core(entries, layer_sizes, menu, budget, method, *, assume_psd: bool = 
 def solve_bnb(g, sizes=None, menu=None, budget=None, **options) -> SolveReport:
     """Exact branch-and-bound over one-hot assignments.
 
-    With a PSD matrix the relaxation bounds are valid and the proof flag
-    reports exact optimality.  ``assume_psd=False`` disables pruning (the
-    bounds of an indefinite objective are meaningless), leaving a limited
-    enumeration that still returns its incumbent; pair it with the
-    ``time_limit`` or ``node_limit`` option.  Other option names raise
-    ``TypeError``.
+    Bounds prune only if the matrix is positive semidefinite, as checked
+    once per solve and reported in ``bounds_valid``; an indefinite matrix
+    is searched without pruning, so pair it with the ``time_limit`` or
+    ``node_limit`` option.  ``proved`` means neither limit cut the search
+    short.  Other option names raise ``TypeError``.
     """
     entries, layer_sizes, menu = _problem(g, sizes, menu)
     return _bnb_core(entries, layer_sizes, menu, _as_budget(budget), "full", **options)

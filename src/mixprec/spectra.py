@@ -75,3 +75,10 @@ def psd_project(a) -> np.ndarray:
     v = dec.eigenvectors
     out = (v * kept) @ v.T
     return 0.5 * (out + out.T)
+
+
+def _is_psd(a) -> bool:
+    """True when the smallest eigenvalue of ``a`` is at least
+    ``-1e-12 * max(1, largest)``, far above the round-off psd_project leaves."""
+    values = np.linalg.eigvalsh(_require_symmetric(a))
+    return bool(values[0] >= -1e-12 * max(1.0, float(values[-1])))

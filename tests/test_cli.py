@@ -156,6 +156,25 @@ def test_solve_exit_codes(quad_setup, tmp_path):
     assert code == 5
 
 
+def test_solve_no_psd_bounds_a_psd_raw_matrix(tmp_path):
+    model = tmp_path / "quad.bin"
+    cache = tmp_path / "cache"
+    run_cli("gen-quadratic", "--seed", "1", "--sizes", ",".join(["8"] * 9),
+            "--rho", "0.6", "--out", str(model))
+    run_cli("measure", "--model", str(model), "--bits", "2,4,8", "--cache-dir", str(cache))
+    entries = load_matrix(cache / "batch-000000.txt").entries
+    assert np.linalg.eigvalsh(entries).min() > 0.0
+    # unpruned, this search needs 40 nodes
+    code, out, _ = run_cli("solve", "--cache-dir", str(cache), "--budget-bits", "360",
+                           "--no-psd", "--node-limit", "30")
+    assert code == 0
+    kv = parse_kv(out)
+    assert kv["proved"] == "true"
+    _, ref, _ = run_cli("solve", "--cache-dir", str(cache), "--budget-bits", "360",
+                        "--no-psd", "--method", "exhaustive")
+    assert kv["bits"] == parse_kv(ref)["bits"]
+
+
 def test_cache_dir_from_environment(quad_setup, monkeypatch):
     _, cache = quad_setup
     monkeypatch.setenv("MIXPREC_CACHE_DIR", str(cache))

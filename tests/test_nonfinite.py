@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from mixprec.sensitivity import BitMenu, SensitivityMatrix, load_matrix, save_matrix
+from mixprec.solver import SizeBudget, solve_bnb
 from mixprec.spectra import eigh, psd_project
 
 from helpers import golden_quartet_matrix, run_cli
@@ -35,6 +36,19 @@ def test_spectra_rejects_non_finite(func, value):
         func(_poisoned(value, 4, 4))
     with pytest.raises(ValueError, match=r"non-finite.*\(1, 3\)"):
         func(_poisoned(value, 1, 3))
+
+
+@pytest.mark.parametrize("value", BAD_VALUES)
+def test_solver_rejects_non_finite_raw_entries(value):
+    with pytest.raises(ValueError, match=r"non-finite.*\(2, 6\)"):
+        solve_bnb(_poisoned(value, 2, 6), (1, 1, 1, 1), (2, 32), SizeBudget(68))
+
+
+def test_solver_rejects_asymmetric_raw_entries():
+    lopsided = golden_quartet_matrix().entries.copy()
+    lopsided[0, 2] += 1e-6
+    with pytest.raises(ValueError, match="symmetric"):
+        solve_bnb(lopsided, (1, 1, 1, 1), (2, 32), SizeBudget(68))
 
 
 @pytest.mark.parametrize("text", ("inf", "nan"))

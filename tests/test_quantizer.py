@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mixprec import quantizer
 from mixprec.quantizer import (
     LayerSpec,
     calibrate_scale_mse,
@@ -85,6 +86,35 @@ def test_calibration_attains_the_grid_minimum():
         for cand in _candidate_scales(float(np.max(np.abs(w))), bits):
             other = float(np.mean((quantize(w, bits, float(cand)) - w) ** 2))
             assert chosen <= other
+
+
+def _full_grid_scale(w, bits):
+    """The calibration as one candidate x weight grid, without chunking."""
+    cands = _candidate_scales(float(np.max(np.abs(w))), bits)
+    lo, hi = -(2 ** (bits - 1)), 2 ** (bits - 1) - 1
+    q = np.clip(np.round(w[None, :] / cands[:, None]), lo, hi) * cands[:, None]
+    return float(cands[int(np.argmin(np.mean((q - w[None, :]) ** 2, axis=1)))])
+
+
+@pytest.mark.parametrize("chunk, sizes", [
+    # the default 2**20 elements hold all 202 candidates in one chunk up to
+    # 5,191 weights, and need two from 5,192 on
+    (None, (5191, 5192)),
+    # a small chunk puts several boundaries, and one row per chunk, in reach
+    (1000, (1, 4, 5, 7, 499, 500, 501, 1000, 1001, 3000)),
+])
+def test_chunked_calibration_matches_full_grid(monkeypatch, chunk, sizes):
+    if chunk is not None:
+        monkeypatch.setattr(quantizer, "_CALIBRATE_CHUNK", chunk)
+    rng = np.random.default_rng(len(sizes))
+    for size in sizes:
+        for bits in (2, 3, 4, 8):
+            w = rng.normal(size=size) * float(rng.uniform(0.01, 100.0))
+            assert calibrate_scale_mse(w, bits) == _full_grid_scale(w, bits)
+            # coarse values put exact ties in the grid; the first must win
+            coarse = np.round(w * 2.0) / 2.0
+            if np.any(coarse):
+                assert calibrate_scale_mse(coarse, bits) == _full_grid_scale(coarse, bits)
 
 
 def test_scalar_layer_is_exactly_representable_at_every_width():

@@ -1,6 +1,9 @@
+import os
+
 import numpy as np
 import pytest
 
+from mixprec import sensitivity
 from mixprec.oracles import QuadraticOracle, random_quadratic
 from mixprec.quantizer import perturbation
 from mixprec.sensitivity import (
@@ -8,8 +11,6 @@ from mixprec.sensitivity import (
     SensitivityMatrix,
     build_matrix,
     load_matrix,
-    measure_cross,
-    measure_diagonal,
     merge_batches,
     save_matrix,
 )
@@ -81,32 +82,6 @@ def _analytic_entry(oracle, i, m_bits, j, n_bits):
     di = perturbation(oracle.layers[i], m_bits)
     dj = perturbation(oracle.layers[j], n_bits)
     return float(di @ oracle.block(i, j) @ dj)
-
-
-def test_measure_diagonal_matches_quadratic_form():
-    q = random_quadratic(1, [3, 4], 0.6)
-    for layer in (0, 1):
-        for bits in (2, 4, 8):
-            got = measure_diagonal(q, layer, bits)
-            want = _analytic_entry(q, layer, bits, layer, bits)
-            assert got == pytest.approx(want, rel=1e-10, abs=1e-14)
-
-
-def test_measure_cross_matches_quadratic_form():
-    q = random_quadratic(2, [3, 3, 2], 0.9)
-    d00 = measure_diagonal(q, 0, 2)
-    d11 = measure_diagonal(q, 1, 4)
-    got = measure_cross(q, 0, 2, 1, 4, d00, d11)
-    want = _analytic_entry(q, 0, 2, 1, 4)
-    assert got == pytest.approx(want, rel=1e-9, abs=1e-14)
-
-
-def test_measure_cross_argument_checks():
-    q = random_quadratic(0, [2, 2], 0.5)
-    with pytest.raises(ValueError):
-        measure_cross(q, 1, 2, 1, 4, 0.0, 0.0)
-    with pytest.raises(ValueError):
-        measure_cross(q, 1, 2, 0, 4, 0.0, 0.0)
 
 
 def test_build_matrix_structure():
@@ -232,6 +207,39 @@ def test_save_load_roundtrip_bitexact(tmp_path):
     save_matrix(loaded, tmp_path / "rewrite.txt")
     assert (tmp_path / "rewrite.txt").read_bytes() == path.read_bytes()
     assert not path.with_suffix(".txt.tmp").exists()
+
+
+def test_concurrent_saves_use_separate_temp_files(tmp_path, monkeypatch):
+    # A second writer of the same batch finishes between the first
+    # writer's write and its rename; both must succeed, and the file left
+    # behind is whole.
+    first = golden_quartet_matrix()
+    second = first.with_entries(2.0 * first.entries)
+    path = tmp_path / "batch-000000.txt"
+    real_replace = os.replace
+    raced = []
+
+    def racing_replace(src, dst):
+        if not raced:
+            raced.append(src)
+            save_matrix(second, path)
+        real_replace(src, dst)
+
+    monkeypatch.setattr(sensitivity.os, "replace", racing_replace)
+    save_matrix(first, path)
+    assert raced
+    assert np.array_equal(load_matrix(path).entries, first.entries)
+    assert os.listdir(tmp_path) == [path.name]
+
+
+def test_failed_save_leaves_no_temp_file(tmp_path, monkeypatch):
+    def failing_replace(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(sensitivity.os, "replace", failing_replace)
+    with pytest.raises(OSError):
+        save_matrix(golden_quartet_matrix(), tmp_path / "batch-000000.txt")
+    assert os.listdir(tmp_path) == []
 
 
 def test_save_rejects_same_layer_entries(tmp_path):

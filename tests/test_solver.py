@@ -188,7 +188,7 @@ def test_bnb_without_psd_assumption_still_exact():
         m = _instance(seed, [2, 1, 3, 2], (2, 4, 8), rho=0.9, psd=False)
         budget = _mid_budget(m, 0.4)
         a = solve_exhaustive(m, budget=budget)
-        b = solve_bnb(m, budget=budget, assume_psd=False)
+        b = solve_bnb(m, budget=budget)
         assert b.objective == a.objective
         assert b.assignment.bits == a.assignment.bits
         assert b.proved
@@ -365,25 +365,57 @@ def test_frank_wolfe_bound_is_sound():
         wmat = np.array([[s * b for b in m.menu.bits] for s in m.layer_sizes],
                         dtype=np.int64)
         domains = tuple(tuple(range(3)) for _ in range(5))
-        x, f, gap, iters, lb, curvature_ok = _frank_wolfe(
+        x, f, gap, iters, lb = _frank_wolfe(
             m.entries, domains, wmat, budget.limit_bits, 1e-9, 1500)
-        assert curvature_ok
         integer_opt = solve_exhaustive(m, budget=budget).objective
         assert lb <= integer_opt + 1e-9
         assert np.allclose(x.sum(axis=1), 1.0, rtol=0, atol=1e-9)
 
 
-def test_frank_wolfe_flags_negative_curvature():
+def test_bnb_does_not_prune_on_negative_curvature(monkeypatch):
     # positive diagonals push off the start, the large negative coupling
     # between the upgrade options makes the step direction concave
     entries = np.zeros((4, 4))
     entries[0, 0] = entries[2, 2] = 1.0
     entries[1, 3] = entries[3, 1] = -4.0
-    wmat = np.array([[1, 2], [1, 2]], dtype=np.int64)
-    domains = ((0, 1), (0, 1))
-    x, f, gap, iters, lb, curvature_ok = _frank_wolfe(
-        entries, domains, wmat, 4, 1e-9, 200)
-    assert not curvature_ok
+    # bound every node that has a choice left instead of enumerating it
+    monkeypatch.setattr(solver, "SUBCUBE_LIMIT", 1)
+    for limit in (4, 6, 8):
+        report = solve_bnb(entries, (1, 1), (2, 4), SizeBudget(limit))
+        best = solve_exhaustive(entries, (1, 1), (2, 4), SizeBudget(limit))
+        assert not report.bounds_valid
+        assert report.proved
+        assert (report.objective, report.assignment.bits) == (
+            best.objective, best.assignment.bits)
+
+
+def _noisy_instance(seed: int):
+    """An indefinite matrix whose noise, like measurement noise, leaves the
+    same-layer cross-bit entries zero; returns it with a budget."""
+    rng = np.random.default_rng(seed)
+    num_layers = int(rng.integers(6, 11))
+    sizes = [int(s) for s in rng.integers(2, 5, size=num_layers)]
+    oracle = random_quadratic(seed, sizes, float(rng.uniform(0.3, 1.0)), sample_ratio=0.6)
+    m = build_matrix(oracle, BitMenu((2, 4, 8)))
+    noise = rng.standard_normal(m.entries.shape) * (0.3 * np.mean(np.abs(m.entries)))
+    noise = np.triu(noise) + np.triu(noise, 1).T
+    layer = np.repeat(np.arange(num_layers), 3)
+    noise[(layer[:, None] == layer[None, :]) & ~np.eye(m.dim, dtype=bool)] = 0.0
+    noisy = m.with_entries(m.entries + noise)
+    return noisy, _mid_budget(noisy, float(rng.uniform(0.2, 0.8)))
+
+
+def test_bnb_proof_holds_on_indefinite_matrices():
+    # Frank-Wolfe sees no clearly concave step on these, so only a check of
+    # the matrix itself keeps their invalid bounds from pruning the optimum.
+    for seed in (71, 92, 244, 282):
+        m, budget = _noisy_instance(seed)
+        report = solve_bnb(m, budget=budget)
+        best = solve_exhaustive(m, budget=budget)
+        assert not report.bounds_valid
+        assert report.proved
+        assert (report.objective, report.assignment.bits) == (
+            best.objective, best.assignment.bits)
 
 
 # ---------------------------------------------------------------------------
