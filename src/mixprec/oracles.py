@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._files import write_atomic
 from .quantizer import LayerSpec
 
 __all__ = [
@@ -341,11 +342,8 @@ def train_toy(seed: int, epochs: int = 2000, *, depth: int = 8, hidden: int = 16
 
 def _write_container(path, header: dict, payload: np.ndarray) -> None:
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", len(blob)))
-        fh.write(blob)
-        fh.write(np.asarray(payload, dtype="<f4").tobytes())
+    write_atomic(path, b"".join([MAGIC, struct.pack("<I", len(blob)), blob,
+                                 np.asarray(payload, dtype="<f4").tobytes()]))
 
 
 def _read_container(path) -> tuple[dict, np.ndarray]:

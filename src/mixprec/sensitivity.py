@@ -17,12 +17,11 @@ both, and the measurement loop never fills them.
 
 from __future__ import annotations
 
-import os
-import tempfile
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._files import write_atomic
 from .quantizer import perturbation
 from .spectra import _require_finite
 
@@ -229,16 +228,7 @@ def save_matrix(matrix: SensitivityMatrix, path) -> None:
     for p in range(dim):
         for q in range(p, dim):
             lines.append(f"{p} {q} {matrix.entries[p, q]:.17g}")
-    # One temp file per writer, so concurrent writers never share one.
-    fd, tmp = tempfile.mkstemp(prefix=os.path.basename(path) + ".", suffix=".tmp",
-                               dir=os.path.dirname(os.path.abspath(path)))
-    try:
-        with os.fdopen(fd, "w", encoding="ascii", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+    write_atomic(path, ("\n".join(lines) + "\n").encode("ascii"))
 
 
 def _header_value(line: str, key: str) -> str:

@@ -10,7 +10,10 @@ lower bounds come from a Frank-Wolfe solve of the continuous relaxation
 over the product of per-layer simplices cut by the budget half-space,
 whose linear subproblem is a multiple-choice-knapsack LP solved greedily
 on per-layer convex hulls; they prune only if the searched matrix is
-PSD.  ``solve_diagonal_only`` and ``solve_block`` rerun the same search
+PSD.  A node's Frank-Wolfe solve stops as soon as its primal value
+drops below the pruning cut, because no bound at that node can prune it
+any more; on an indefinite matrix, whose cut is infinite, that is after
+one step.  ``solve_diagonal_only`` and ``solve_block`` rerun the same search
 on copies with the couplings fully or partially masked to zero.
 
 Reported objectives are accumulated with ``math.fsum`` so every solver
@@ -346,8 +349,12 @@ def _frank_wolfe(entries, domains, wmat, limit, tol, max_iter, stop_lb=None):
     """Minimize ``x' G x`` over the relaxation; returns the best dual bound seen.
 
     Each ``f - gap`` is a valid lower bound when ``entries`` is positive
-    semidefinite.  Iteration stops once the gap is small, the bound clears ``stop_lb`` (the caller's pruning cut), or
-    the bound stops improving; the rate is sublinear on singular
+    semidefinite.  ``stop_lb`` is the caller's pruning cut.  Iteration
+    stops once the bound clears it, or once a step brings the primal
+    value ``f`` below it: ``f`` is the objective at a feasible point, so
+    it bounds the relaxation optimum from above and no bound can reach
+    the cut any more.  Otherwise iteration stops once the gap is small
+    or the bound stops improving; the rate is sublinear on singular
     matrices, so chasing the gap itself can be hopeless.
     """
     num_layers = len(domains)
@@ -397,6 +404,8 @@ def _frank_wolfe(entries, domains, wmat, limit, tol, max_iter, stop_lb=None):
         if (it + 1) % 64 == 0:
             gx = entries @ xf
         f = float(xf @ gx)
+        if stop_lb is not None and f < stop_lb:
+            break
     return xf.reshape(num_layers, nb), f, gap, iters, best_lb
 
 
@@ -439,12 +448,15 @@ def _bnb_core(entries, layer_sizes, menu, budget, method, *,
             if best is not None and best[0] < inc_key:
                 inc_key, inc_pos = best
             continue
-        cut = inc_key[0] + _PRUNE_SAFETY * max(1.0, abs(inc_key[0]))
+        # Bounds of an indefinite matrix prove nothing: an infinite cut
+        # never prunes and stops Frank-Wolfe after its first step, which
+        # is all the branching needs.
+        cut = (inc_key[0] + _PRUNE_SAFETY * max(1.0, abs(inc_key[0]))
+               if bounds_valid else math.inf)
         x, f, gap, iters, lb = _frank_wolfe(
-            entries, domains, wmat, limit, FW_TOL, FW_MAX_ITER,
-            stop_lb=cut if bounds_valid else None)
+            entries, domains, wmat, limit, FW_TOL, FW_MAX_ITER, stop_lb=cut)
         fw_total += iters
-        if bounds_valid and lb >= cut:
+        if lb >= cut:
             continue
         rounded = tuple(dom[int(np.argmax(x[l, list(dom)]))] for l, dom in enumerate(domains))
         if sum(int(wmat[l, p]) for l, p in enumerate(rounded)) <= limit:
@@ -473,8 +485,8 @@ def solve_bnb(g, sizes=None, menu=None, budget=None, **options) -> SolveReport:
 
     Bounds prune only if the matrix is positive semidefinite, as checked
     once per solve and reported in ``bounds_valid``; an indefinite matrix
-    is searched without pruning, so pair it with the ``time_limit`` or
-    ``node_limit`` option.  ``proved`` means neither limit cut the search
+    is searched without pruning, at one Frank-Wolfe step per node, so
+    pair it with the ``time_limit`` or ``node_limit`` option.  ``proved`` means neither limit cut the search
     short.  Other option names raise ``TypeError``.
     """
     entries, layer_sizes, menu = _problem(g, sizes, menu)

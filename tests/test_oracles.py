@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -216,6 +218,21 @@ def test_toy_container_roundtrip(tmp_path):
     assert loaded.sample_count == 64
     save_oracle(loaded, tmp_path / "again.bin")
     assert (tmp_path / "again.bin").read_bytes() == path.read_bytes()
+
+
+def test_failed_save_keeps_the_previous_container(tmp_path, monkeypatch):
+    path = tmp_path / "quad.bin"
+    save_oracle(random_quadratic(4, [3, 2], 0.7), path)
+    before = path.read_bytes()
+
+    def failing_replace(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    with pytest.raises(OSError):
+        save_oracle(random_quadratic(5, [3, 2], 0.7), path)
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == [path.name]
 
 
 def test_load_window_slices_eval_stream(tmp_path):

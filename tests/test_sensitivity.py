@@ -225,7 +225,7 @@ def test_concurrent_saves_use_separate_temp_files(tmp_path, monkeypatch):
             save_matrix(second, path)
         real_replace(src, dst)
 
-    monkeypatch.setattr(sensitivity.os, "replace", racing_replace)
+    monkeypatch.setattr(os, "replace", racing_replace)
     save_matrix(first, path)
     assert raced
     assert np.array_equal(load_matrix(path).entries, first.entries)
@@ -236,7 +236,7 @@ def test_failed_save_leaves_no_temp_file(tmp_path, monkeypatch):
     def failing_replace(src, dst):
         raise OSError("disk full")
 
-    monkeypatch.setattr(sensitivity.os, "replace", failing_replace)
+    monkeypatch.setattr(os, "replace", failing_replace)
     with pytest.raises(OSError):
         save_matrix(golden_quartet_matrix(), tmp_path / "batch-000000.txt")
     assert os.listdir(tmp_path) == []

@@ -358,18 +358,39 @@ def test_lmo_respects_restricted_domains():
     assert float((cost * x).sum()) == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
+def _relaxation_instance(seed: int):
+    """A 5-layer PSD instance with its root node: (matrix, budget, wmat, domains)."""
+    m = _instance(seed, [2, 2, 2, 2, 2], (2, 4, 8), rho=0.9)
+    wmat = np.array([[s * b for b in m.menu.bits] for s in m.layer_sizes],
+                    dtype=np.int64)
+    domains = tuple(tuple(range(3)) for _ in range(5))
+    return m, _mid_budget(m, 0.5), wmat, domains
+
+
 def test_frank_wolfe_bound_is_sound():
     for seed in (1, 4, 9):
-        m = _instance(seed, [2, 2, 2, 2, 2], (2, 4, 8), rho=0.9)
-        budget = _mid_budget(m, 0.5)
-        wmat = np.array([[s * b for b in m.menu.bits] for s in m.layer_sizes],
-                        dtype=np.int64)
-        domains = tuple(tuple(range(3)) for _ in range(5))
+        m, budget, wmat, domains = _relaxation_instance(seed)
         x, f, gap, iters, lb = _frank_wolfe(
             m.entries, domains, wmat, budget.limit_bits, 1e-9, 1500)
         integer_opt = solve_exhaustive(m, budget=budget).objective
         assert lb <= integer_opt + 1e-9
         assert np.allclose(x.sum(axis=1), 1.0, rtol=0, atol=1e-9)
+
+
+def test_frank_wolfe_stops_once_the_primal_value_clears_the_cut():
+    # The primal value bounds the relaxation optimum from above, so once it
+    # is below the cut no bound at the node can reach the cut.
+    m, budget, wmat, domains = _relaxation_instance(1)
+    start = _quadratic_form(m.entries, [l * 3 + dom[0] for l, dom in enumerate(domains)])
+    stop_lb = start + 1.0
+    _, f, _, iters, lb = _frank_wolfe(
+        m.entries, domains, wmat, budget.limit_bits, 1e-9, 1500, stop_lb=stop_lb)
+    assert iters == 1
+    assert f < stop_lb
+    assert lb < stop_lb
+    _, _, _, iters, _ = _frank_wolfe(
+        m.entries, domains, wmat, budget.limit_bits, 1e-9, 1500)
+    assert iters > 1
 
 
 def test_bnb_does_not_prune_on_negative_curvature(monkeypatch):
@@ -408,12 +429,15 @@ def _noisy_instance(seed: int):
 def test_bnb_proof_holds_on_indefinite_matrices():
     # Frank-Wolfe sees no clearly concave step on these, so only a check of
     # the matrix itself keeps their invalid bounds from pruning the optimum.
+    # With no bound to prove, Frank-Wolfe takes one step per node, only to
+    # supply a point to branch on.
     for seed in (71, 92, 244, 282):
         m, budget = _noisy_instance(seed)
         report = solve_bnb(m, budget=budget)
         best = solve_exhaustive(m, budget=budget)
         assert not report.bounds_valid
         assert report.proved
+        assert report.fw_iterations <= report.nodes
         assert (report.objective, report.assignment.bits) == (
             best.objective, best.assignment.bits)
 
