@@ -17,6 +17,7 @@ from .sensitivity import (
     BitMenu,
     SensitivityMatrix,
     build_matrix,
+    layer_perturbations,
     load_matrix,
     merge_batches,
     save_matrix,
@@ -64,6 +65,7 @@ __all__ = [
     "BitMenu",
     "SensitivityMatrix",
     "build_matrix",
+    "layer_perturbations",
     "merge_batches",
     "save_matrix",
     "load_matrix",

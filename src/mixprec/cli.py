@@ -31,6 +31,7 @@ from .sensitivity import (
     BitMenu,
     SensitivityMatrix,
     build_matrix,
+    layer_perturbations,
     load_matrix,
     merge_batches,
     save_matrix,
@@ -217,6 +218,9 @@ def cmd_measure(args) -> int:
         raise _UsageError("--batch-size must be >= 1")
     if args.batches < 0 or args.first_batch < 0:
         raise _UsageError("batch indices must be non-negative")
+    # The perturbations depend only on the weights and the menu, so they are
+    # calibrated once, on the first batch measured, and reused for the rest.
+    deltas = first = weights = sizes = None
     for index in range(args.first_batch, args.first_batch + args.batches):
         path = _batch_path(cache_dir, index)
         if os.path.exists(path):
@@ -224,11 +228,25 @@ def cmd_measure(args) -> int:
             if existing.menu.bits != menu.bits:
                 raise ValueError(
                     f"{path}: existing cache uses menu {existing.menu.bits}, asked for {menu.bits}")
+            if sizes is None:
+                sizes = tuple(layer.count for layer in load_oracle(args.model).layers)
+            if existing.layer_sizes != sizes:
+                raise ValueError(f"{path}: existing cache has layer sizes "
+                                 f"{existing.layer_sizes}, model has {sizes}")
             print(f"batch {index}: exists, skipped")
             continue
         oracle = load_oracle(args.model, eval_start=index * args.batch_size,
                              eval_count=args.batch_size)
-        matrix = build_matrix(oracle, menu)
+        if deltas is None:
+            deltas = layer_perturbations(oracle.layers, menu)
+            first = index
+            weights = [layer.weights for layer in oracle.layers]
+            sizes = tuple(layer.count for layer in oracle.layers)
+        elif len(oracle.layers) != len(weights) or not all(
+                np.array_equal(layer.weights, w) for layer, w in zip(oracle.layers, weights)):
+            raise ValueError(
+                f"{args.model}: layer weights changed after batch {first} was measured")
+        matrix = build_matrix(oracle, menu, deltas=deltas)
         save_matrix(matrix, path)
         print(f"batch {index}: wrote {path}")
     return EXIT_OK

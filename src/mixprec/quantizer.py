@@ -89,17 +89,30 @@ def calibrate_scale_mse(w, bits: int) -> float:
     cands = _candidate_scales(amax, bits)
     lo = -(2 ** (bits - 1))
     hi = 2 ** (bits - 1) - 1
-    rows = max(1, _CALIBRATE_CHUNK // w.size)
+    rows = min(len(cands), max(1, _CALIBRATE_CHUNK // w.size))
+    # Every chunk is scored in place in one buffer: the same IEEE operations
+    # on the same contiguous rows as the expression
+    # mean((clip(round(w / c), lo, hi) * c - w) ** 2), without its temporaries.
+    buf = np.empty((rows, w.size))
     mse = np.empty(len(cands))
     for start in range(0, len(cands), rows):
         c = cands[start:start + rows, None]
-        q = np.clip(np.round(w[None, :] / c), lo, hi) * c
-        mse[start:start + rows] = np.mean((q - w[None, :]) ** 2, axis=1)
+        q = buf[:len(c)]
+        np.divide(w, c, out=q)
+        np.round(q, out=q)
+        np.clip(q, lo, hi, out=q)
+        np.multiply(q, c, out=q)
+        np.subtract(q, w, out=q)
+        np.square(q, out=q)
+        mse[start:start + rows] = np.mean(q, axis=1)
     return float(cands[int(np.argmin(mse))])
 
 
 def perturbation(layer, bits: int) -> np.ndarray:
     """Quantization error ``quantize(w, bits, s*) - w`` at the calibrated scale."""
-    w = layer.weights if isinstance(layer, LayerSpec) else np.asarray(layer, dtype=np.float64).ravel()
+    if isinstance(layer, LayerSpec):
+        w = layer.weights
+    else:
+        w = np.asarray(layer, dtype=np.float64).ravel()
     scale = calibrate_scale_mse(w, bits)
     return quantize(w, bits, scale) - w

@@ -28,6 +28,7 @@ from .spectra import _require_finite
 __all__ = [
     "BitMenu",
     "SensitivityMatrix",
+    "layer_perturbations",
     "build_matrix",
     "merge_batches",
     "save_matrix",
@@ -122,7 +123,31 @@ class SensitivityMatrix:
         return True
 
 
-def build_matrix(oracle, menu, *, include_same_layer_cross: bool = False) -> SensitivityMatrix:
+def layer_perturbations(layers, menu) -> list[list[np.ndarray]]:
+    """Calibrated quantization error of every layer at every menu width.
+
+    Row ``i`` holds layer ``i``'s perturbation at each bit-width of the
+    sorted menu.  The values depend only on the weights and the menu, so
+    one table serves every evaluation batch of the same model.
+    """
+    menu = menu if isinstance(menu, BitMenu) else BitMenu(menu)
+    return [[perturbation(layer, b) for b in menu] for layer in layers]
+
+
+def _check_deltas(deltas, layers, nb: int) -> None:
+    if len(deltas) != len(layers):
+        raise ValueError(f"deltas cover {len(deltas)} layers, oracle has {len(layers)}")
+    for i, (row, layer) in enumerate(zip(deltas, layers)):
+        if len(row) != nb:
+            raise ValueError(f"deltas row {i} has {len(row)} vectors, menu has {nb} widths")
+        for m, vec in enumerate(row):
+            if np.shape(vec) != (layer.count,):
+                raise ValueError(f"deltas[{i}][{m}] has shape {np.shape(vec)}, "
+                                 f"layer {i} has {layer.count} weights")
+
+
+def build_matrix(oracle, menu, *, include_same_layer_cross: bool = False,
+                 deltas=None) -> SensitivityMatrix:
     """Measure the full sensitivity matrix of an oracle.
 
     Costs exactly ``1 + |B|L + |B|^2 L(L-1)/2`` loss evaluations: one
@@ -138,6 +163,11 @@ def build_matrix(oracle, menu, *, include_same_layer_cross: bool = False) -> Sen
     these entries; they exist so the quadratic form ``v' G v`` matches
     the underlying curvature for arbitrary dense ``v``, which is what
     the PSD argument relies on.  The default leaves them zero.
+
+    ``deltas`` is a table from :func:`layer_perturbations` for the same
+    layers and menu; passing it skips the scale calibration, so batches
+    of one model need to calibrate only once.  Without it the table is
+    computed here.
     """
     menu = menu if isinstance(menu, BitMenu) else BitMenu(menu)
     layers = oracle.layers
@@ -146,8 +176,11 @@ def build_matrix(oracle, menu, *, include_same_layer_cross: bool = False) -> Sen
         raise ValueError("oracle must expose at least one layer")
     nb = len(menu)
     dim = nb * num_layers
+    if deltas is None:
+        deltas = layer_perturbations(layers, menu)
+    else:
+        _check_deltas(deltas, layers, nb)
     baseline = oracle.evaluate({})
-    deltas = [[perturbation(layers[i], b) for b in menu] for i in range(num_layers)]
     g = np.zeros((dim, dim))
     for i in range(num_layers):
         for m in range(nb):

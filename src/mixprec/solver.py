@@ -486,8 +486,9 @@ def solve_bnb(g, sizes=None, menu=None, budget=None, **options) -> SolveReport:
     Bounds prune only if the matrix is positive semidefinite, as checked
     once per solve and reported in ``bounds_valid``; an indefinite matrix
     is searched without pruning, at one Frank-Wolfe step per node, so
-    pair it with the ``time_limit`` or ``node_limit`` option.  ``proved`` means neither limit cut the search
-    short.  Other option names raise ``TypeError``.
+    pair it with the ``time_limit`` or ``node_limit`` option.  ``proved``
+    means neither limit cut the search short.  Other option names raise
+    ``TypeError``.
     """
     entries, layer_sizes, menu = _problem(g, sizes, menu)
     return _bnb_core(entries, layer_sizes, menu, _as_budget(budget), "full", **options)

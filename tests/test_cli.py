@@ -5,8 +5,10 @@ import sys
 import numpy as np
 import pytest
 
+from mixprec import cli, quantizer
 from mixprec.cli import BITS_PER_MB, CSV_COLUMNS
 from mixprec.oracles import load_oracle
+from mixprec.quantizer import LayerSpec
 from mixprec.sensitivity import load_matrix
 
 from helpers import (
@@ -68,6 +70,67 @@ def test_measure_menu_mismatch_is_validation_error(quad_setup):
                            "--cache-dir", str(cache), "--batch-size", "32")
     assert code == 5
     assert "menu" in err
+
+
+def test_measure_skipped_batch_must_match_model_layer_sizes(quad_setup, tmp_path):
+    _, cache = quad_setup
+    other = tmp_path / "other.bin"
+    code, _, _ = run_cli("gen-quadratic", "--seed", "7", "--sizes", "3,2,5",
+                         "--rho", "0.8", "--out", str(other))
+    assert code == 0
+    code, _, err = run_cli("measure", "--model", str(other), "--bits", "2,4,8",
+                           "--cache-dir", str(cache), "--batch-size", "32", "--batches", "2")
+    assert code == 5
+    assert "batch-000000.txt" in err and "sizes" in err
+    assert not (cache / "batch-000001.txt").exists()
+
+
+def test_measure_calibrates_each_perturbation_once(tmp_path, monkeypatch):
+    model = tmp_path / "toy.bin"
+    code, _, _ = run_cli("train-toy", "--seed", "3", "--epochs", "20", "--depth", "3",
+                         "--hidden", "4", "--out", str(model))
+    assert code == 0
+    calls = []
+    calibrate = quantizer.calibrate_scale_mse
+
+    def counting(w, bits):
+        calls.append(bits)
+        return calibrate(w, bits)
+
+    monkeypatch.setattr(quantizer, "calibrate_scale_mse", counting)
+    measure = ("measure", "--model", str(model), "--bits", "2,4", "--batch-size", "16")
+    code, _, _ = run_cli(*measure, "--cache-dir", str(tmp_path / "one"), "--batches", "3")
+    assert code == 0
+    assert len(calls) == 3 * 2  # L * |B|, not once per batch
+    for k in range(3):
+        code, _, _ = run_cli(*measure, "--cache-dir", str(tmp_path / "split"),
+                             "--first-batch", str(k), "--batches", "1")
+        assert code == 0
+    for k in range(3):
+        name = f"batch-{k:06d}.txt"
+        assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "split" / name).read_bytes()
+    calls.clear()
+    code, out, _ = run_cli(*measure, "--cache-dir", str(tmp_path / "one"), "--batches", "3")
+    assert code == 0 and out.count("exists, skipped") == 3
+    assert calls == []
+
+    # a model replaced between two batches must not reuse the old perturbations
+    loads = []
+
+    def replaced_after_first(path, **kwargs):
+        oracle = load_oracle(path, **kwargs)
+        loads.append(path)
+        if len(loads) == 2:
+            layer = oracle.layers[0]
+            oracle.layers[0] = LayerSpec(layer.name, layer.weights * 0.5)
+        return oracle
+
+    monkeypatch.setattr(cli, "load_oracle", replaced_after_first)
+    code, _, err = run_cli(*measure, "--cache-dir", str(tmp_path / "moved"), "--batches", "3")
+    assert code == 5
+    assert "weights changed" in err
+    assert (tmp_path / "moved" / "batch-000000.txt").exists()
+    assert not (tmp_path / "moved" / "batch-000001.txt").exists()
 
 
 def test_solve_reports_and_csv(quad_setup, tmp_path):

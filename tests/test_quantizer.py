@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -115,6 +117,18 @@ def test_chunked_calibration_matches_full_grid(monkeypatch, chunk, sizes):
             coarse = np.round(w * 2.0) / 2.0
             if np.any(coarse):
                 assert calibrate_scale_mse(coarse, bits) == _full_grid_scale(coarse, bits)
+
+
+def test_calibration_memory_is_one_chunk_buffer():
+    # one chunk of 2**20 float64 candidate x weight elements is 8 MiB
+    w = np.random.default_rng(9).normal(size=65536)
+    tracemalloc.start()
+    try:
+        calibrate_scale_mse(w, 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12 * 2 ** 20
 
 
 def test_scalar_layer_is_exactly_representable_at_every_width():

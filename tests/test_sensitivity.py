@@ -3,13 +3,14 @@ import os
 import numpy as np
 import pytest
 
-from mixprec import sensitivity
+from mixprec import quantizer, sensitivity
 from mixprec.oracles import QuadraticOracle, random_quadratic
 from mixprec.quantizer import perturbation
 from mixprec.sensitivity import (
     BitMenu,
     SensitivityMatrix,
     build_matrix,
+    layer_perturbations,
     load_matrix,
     merge_batches,
     save_matrix,
@@ -145,6 +146,25 @@ def test_build_matrix_rejects_empty_oracle():
 
     with pytest.raises(ValueError):
         build_matrix(Hollow(), BitMenu((2, 4)))
+
+
+def test_build_matrix_uses_given_deltas(monkeypatch):
+    oracle = random_quadratic(5, (3, 2, 4), 0.7)
+    menu = BitMenu((2, 4, 8))
+    table = layer_perturbations(oracle.layers, menu)
+    reference = build_matrix(oracle, menu)
+
+    def no_calibration(w, bits):
+        raise AssertionError("deltas were given; nothing should calibrate")
+
+    monkeypatch.setattr(quantizer, "calibrate_scale_mse", no_calibration)
+    got = build_matrix(oracle, menu, deltas=table)
+    assert np.array_equal(got.entries, reference.entries)
+    short_row = [table[0][:2]] + table[1:]
+    wrong_length = [table[0], [table[1][0], table[1][1], table[1][2][:-1]], table[2]]
+    for bad in (table[:2], short_row, wrong_length):
+        with pytest.raises(ValueError):
+            build_matrix(oracle, menu, deltas=bad)
 
 
 def test_build_matrix_is_deterministic():
