@@ -37,6 +37,7 @@ from .sensitivity import (
     save_matrix,
 )
 from .solver import (
+    BITS_PER_MB,
     METHODS,
     BitAssignment,
     InfeasibleBudgetError,
@@ -58,7 +59,6 @@ EXIT_IO = 4
 EXIT_VALIDATION = 5
 
 CACHE_ENV_VAR = "MIXPREC_CACHE_DIR"
-BITS_PER_MB = 8 * 2 ** 20
 
 CSV_COLUMNS = ("budget_mb", "method", "objective", "size_mb", "bits",
                "optimal", "nodes", "seconds")
@@ -328,9 +328,9 @@ def cmd_eval(args) -> int:
     if len(bits) != len(oracle.layers):
         raise ValueError(
             f"assignment covers {len(bits)} layers, oracle has {len(oracle.layers)}")
-    if len(bits) != matrix.num_layers:
-        raise ValueError(
-            f"assignment covers {len(bits)} layers, cache has {matrix.num_layers}")
+    sizes = tuple(layer.count for layer in oracle.layers)
+    if matrix.layer_sizes != sizes:
+        raise ValueError(f"cache has layer sizes {matrix.layer_sizes}, model has {sizes}")
     assignment = BitAssignment(bits)
     perturbations = {i: perturbation(layer, b)
                      for i, (layer, b) in enumerate(zip(oracle.layers, bits))}
@@ -351,7 +351,7 @@ def _add_cache_arg(parser) -> None:
 
 def _add_solver_args(parser) -> None:
     parser.add_argument("--no-psd", action="store_true",
-                        help="skip the PSD projection; prune only if the raw matrix is PSD")
+                        help="skip the PSD projection and solve the raw matrix")
     parser.add_argument("--node-limit", type=int, default=1_000_000)
     parser.add_argument("--time-limit", type=float, default=None,
                         help="per-solve wall-clock limit in seconds")

@@ -135,8 +135,7 @@ class QuadraticOracle(LossOracle):
 
 def random_quadratic(seed: int, layer_sizes, rho: float, *,
                      weight_scale: float = 1.0, sample_count: int = 1,
-                     sample_ratio: float = 2.0,
-                     coupling_decay: float = 1.0) -> QuadraticOracle:
+                     sample_ratio: float = 2.0) -> QuadraticOracle:
     """Seeded quadratic oracle with tunable cross-layer coupling.
 
     ``rho`` interpolates between the block-diagonal part of a random PSD
@@ -147,28 +146,17 @@ def random_quadratic(seed: int, layer_sizes, rho: float, *,
     The curvature is a Wishart matrix built from ``sample_ratio * dim``
     gaussian rows; lowering the ratio toward 1 makes the curvature more
     anisotropic, which strengthens cross-layer correlations.
-
-    ``coupling_decay`` < 1 damps the block coupling layers i and j by
-    ``decay**|i-j|``, mimicking networks where adjacent layers interact
-    most.  The damping is a Hadamard product with a PSD matrix (the
-    blockwise lift of a Kac-Murdock-Szego matrix), so positive
-    semidefiniteness survives by the Schur product theorem.
     """
     if not 0.0 <= rho <= 1.0:
         raise ValueError(f"rho must lie in [0, 1], got {rho}")
     if sample_ratio <= 0.0:
         raise ValueError(f"sample_ratio must be positive, got {sample_ratio}")
-    if not 0.0 < coupling_decay <= 1.0:
-        raise ValueError(f"coupling_decay must lie in (0, 1], got {coupling_decay}")
     sizes = tuple(int(s) for s in layer_sizes)
     dim = sum(sizes)
     rng = np.random.default_rng(np.random.SeedSequence([seed, _TAG_QUADRATIC]))
     rows = max(1, round(sample_ratio * dim))
     samples = rng.normal(size=(rows, dim))
     full = samples.T @ samples / float(rows)
-    if coupling_decay < 1.0:
-        layer_of = np.repeat(np.arange(len(sizes)), sizes)
-        full = full * coupling_decay ** np.abs(layer_of[:, None] - layer_of[None, :])
     blocky = np.zeros_like(full)
     offsets = np.concatenate([[0], np.cumsum(sizes)])
     for i in range(len(sizes)):

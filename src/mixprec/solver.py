@@ -9,12 +9,14 @@ search spaces).  ``solve_bnb`` is an exact depth-first branch-and-bound:
 lower bounds come from a Frank-Wolfe solve of the continuous relaxation
 over the product of per-layer simplices cut by the budget half-space,
 whose linear subproblem is a multiple-choice-knapsack LP solved greedily
-on per-layer convex hulls; they prune only if the searched matrix is
-PSD.  A node's Frank-Wolfe solve stops as soon as its primal value
-drops below the pruning cut, because no bound at that node can prune it
-any more; on an indefinite matrix, whose cut is infinite, that is after
-one step.  ``solve_diagonal_only`` and ``solve_block`` rerun the same search
-on copies with the couplings fully or partially masked to zero.
+on per-layer convex hulls.  An indefinite matrix is bounded through
+``G + s*I``, with the smallest uniform shift ``s`` that makes it PSD
+(Hammer & Rubin, RAIRO 1970): on one-hot points of ``L`` layers that adds
+exactly ``s*L`` to the objective, so the cut moves by the same amount.
+A node's Frank-Wolfe solve stops as soon as its primal value drops below
+the pruning cut, because no bound at that node can prune it any more.
+``solve_diagonal_only`` and ``solve_block`` rerun the same search on
+copies with the couplings fully or partially masked to zero.
 
 Reported objectives are accumulated with ``math.fsum`` so every solver
 returns bit-identical values for tied assignments, and ties break by
@@ -30,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .sensitivity import BitMenu, SensitivityMatrix
-from .spectra import _is_psd
+from .spectra import _psd_shift
 
 __all__ = [
     "BitAssignment",
@@ -59,6 +61,8 @@ SUBCUBE_LIMIT = 2048
 # Frank-Wolfe stops at this relative duality gap or after this many steps.
 FW_TOL = 1e-9
 FW_MAX_ITER = 1500
+
+BITS_PER_MB = 8 * 2 ** 20
 
 _ENUM_CHUNK = 100_000
 # Relative slack applied when preselecting near-minimal rows; orders of
@@ -101,7 +105,7 @@ class BitAssignment:
 
 @dataclass(frozen=True)
 class SizeBudget:
-    """Model-size limit in bits; megabytes convert at 8 * 2**20 bits/MB."""
+    """Model-size limit in bits; megabytes convert at ``BITS_PER_MB``."""
 
     limit_bits: int
 
@@ -112,11 +116,11 @@ class SizeBudget:
 
     @classmethod
     def from_megabytes(cls, megabytes: float) -> "SizeBudget":
-        return cls(int(math.floor(megabytes * 8 * 2 ** 20)))
+        return cls(int(math.floor(megabytes * BITS_PER_MB)))
 
     @property
     def megabytes(self) -> float:
-        return self.limit_bits / (8 * 2 ** 20)
+        return self.limit_bits / BITS_PER_MB
 
 
 @dataclass
@@ -131,7 +135,7 @@ class SolveReport:
     proved: bool
     nodes: int = 0
     fw_iterations: int = 0
-    bounds_valid: bool = True
+    shift: float = 0.0
     budget_bits: int | None = None
     seconds: float | None = None
 
@@ -428,7 +432,9 @@ def _bnb_core(entries, layer_sizes, menu, budget, method, *,
     stack = [root]
     nodes = 0
     fw_total = 0
-    bounds_valid = _is_psd(entries)
+    # Bounds and cut see G + shift*I; every exact score stays on G.
+    shift = _psd_shift(entries)
+    bounded = entries + shift * np.eye(len(entries)) if shift > 0.0 else entries
     limited = False
     deadline = None if time_limit is None else time.monotonic() + float(time_limit)
     while stack:
@@ -448,13 +454,10 @@ def _bnb_core(entries, layer_sizes, menu, budget, method, *,
             if best is not None and best[0] < inc_key:
                 inc_key, inc_pos = best
             continue
-        # Bounds of an indefinite matrix prove nothing: an infinite cut
-        # never prunes and stops Frank-Wolfe after its first step, which
-        # is all the branching needs.
-        cut = (inc_key[0] + _PRUNE_SAFETY * max(1.0, abs(inc_key[0]))
-               if bounds_valid else math.inf)
+        target = inc_key[0] + shift * num_layers
+        cut = target + _PRUNE_SAFETY * max(1.0, abs(target))
         x, f, gap, iters, lb = _frank_wolfe(
-            entries, domains, wmat, limit, FW_TOL, FW_MAX_ITER, stop_lb=cut)
+            bounded, domains, wmat, limit, FW_TOL, FW_MAX_ITER, stop_lb=cut)
         fw_total += iters
         if lb >= cut:
             continue
@@ -476,18 +479,17 @@ def _bnb_core(entries, layer_sizes, menu, budget, method, *,
     return SolveReport(method=method, status="optimal" if proved else "incumbent",
                        assignment=BitAssignment(inc_key[2]), objective=inc_key[0],
                        size_bits=inc_key[1], proved=proved, nodes=nodes,
-                       fw_iterations=fw_total, bounds_valid=bounds_valid,
+                       fw_iterations=fw_total, shift=shift,
                        budget_bits=limit)
 
 
 def solve_bnb(g, sizes=None, menu=None, budget=None, **options) -> SolveReport:
     """Exact branch-and-bound over one-hot assignments.
 
-    Bounds prune only if the matrix is positive semidefinite, as checked
-    once per solve and reported in ``bounds_valid``; an indefinite matrix
-    is searched without pruning, at one Frank-Wolfe step per node, so
-    pair it with the ``time_limit`` or ``node_limit`` option.  ``proved``
-    means neither limit cut the search short.  Other option names raise
+    The matrix need not be PSD: each solve computes once the diagonal
+    shift that makes its bounds valid and reports it in ``shift`` (0.0 for
+    a PSD matrix).  ``proved`` means neither the ``node_limit`` nor the
+    ``time_limit`` option cut the search short.  Other option names raise
     ``TypeError``.
     """
     entries, layer_sizes, menu = _problem(g, sizes, menu)

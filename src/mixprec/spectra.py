@@ -77,8 +77,14 @@ def psd_project(a) -> np.ndarray:
     return 0.5 * (out + out.T)
 
 
-def _is_psd(a) -> bool:
-    """True when the smallest eigenvalue of ``a`` is at least
-    ``-1e-12 * max(1, largest)``, far above the round-off psd_project leaves."""
+def _psd_shift(a) -> float:
+    """Diagonal shift ``s`` that makes ``a + s*I`` positive semidefinite.
+
+    0.0 when the smallest eigenvalue of ``a`` is at least
+    ``-1e-12 * max(1, largest)``, far above the round-off psd_project
+    leaves; otherwise minus that eigenvalue, which lifts it to zero and so
+    keeps the tolerance as margin against round-off.
+    """
     values = np.linalg.eigvalsh(_require_symmetric(a))
-    return bool(values[0] >= -1e-12 * max(1.0, float(values[-1])))
+    low = float(values[0])
+    return -low if low < -1e-12 * max(1.0, float(values[-1])) else 0.0

@@ -1,6 +1,6 @@
 """Shared fixtures-in-spirit for the test suite: golden micro-instances,
-an evaluation-counting oracle wrapper, a matrix replay oracle, and an
-in-process CLI runner.
+noisy indefinite instances, an evaluation-counting oracle wrapper, a
+matrix replay oracle, and an in-process CLI runner.
 """
 
 from __future__ import annotations
@@ -10,9 +10,17 @@ import io
 
 import numpy as np
 
-from mixprec import BitMenu, LayerSpec, LossOracle, SensitivityMatrix, perturbation
+from mixprec import (
+    BitMenu,
+    LayerSpec,
+    LossOracle,
+    SensitivityMatrix,
+    build_matrix,
+    perturbation,
+    random_quadratic,
+)
 from mixprec.cli import main as cli_main
-from mixprec.solver import _quadratic_form
+from mixprec.solver import SizeBudget, _quadratic_form
 
 # Seed-stream tag of the replay oracle's synthetic weights.
 _TAG_REPLAY = 41
@@ -52,6 +60,24 @@ def golden_trio_matrix() -> SensitivityMatrix:
 
 # Exactly one layer fits at 32 bits: 4 + 4 + 32.
 GOLDEN_TRIO_BUDGET_BITS = 40
+
+
+def noisy_instance(seed: int) -> tuple[SensitivityMatrix, SizeBudget]:
+    """An indefinite matrix whose noise, like measurement noise, leaves the
+    same-layer cross-bit entries zero; returns it with a budget."""
+    rng = np.random.default_rng(seed)
+    num_layers = int(rng.integers(6, 11))
+    sizes = [int(s) for s in rng.integers(2, 5, size=num_layers)]
+    oracle = random_quadratic(seed, sizes, float(rng.uniform(0.3, 1.0)), sample_ratio=0.6)
+    m = build_matrix(oracle, BitMenu((2, 4, 8)))
+    noise = rng.standard_normal(m.entries.shape) * (0.3 * np.mean(np.abs(m.entries)))
+    noise = np.triu(noise) + np.triu(noise, 1).T
+    layer = np.repeat(np.arange(num_layers), 3)
+    noise[(layer[:, None] == layer[None, :]) & ~np.eye(m.dim, dtype=bool)] = 0.0
+    noisy = m.with_entries(m.entries + noise)
+    lo = 2 * sum(sizes)
+    hi = 8 * sum(sizes)
+    return noisy, SizeBudget(int(lo + float(rng.uniform(0.2, 0.8)) * (hi - lo)))
 
 
 def write_dense(path, matrix: SensitivityMatrix) -> None:

@@ -10,12 +10,14 @@ from mixprec.cli import BITS_PER_MB, CSV_COLUMNS
 from mixprec.oracles import load_oracle
 from mixprec.quantizer import LayerSpec
 from mixprec.sensitivity import load_matrix
+from mixprec.solver import solve_exhaustive
 
 from helpers import (
     GOLDEN_QUARTET_BUDGET_BITS,
     GOLDEN_TRIO_BUDGET_BITS,
     golden_quartet_matrix,
     golden_trio_matrix,
+    noisy_instance,
     parse_kv,
     run_cli,
     write_dense,
@@ -238,6 +240,26 @@ def test_solve_no_psd_bounds_a_psd_raw_matrix(tmp_path):
     assert kv["bits"] == parse_kv(ref)["bits"]
 
 
+def test_solve_no_psd_bounds_an_indefinite_raw_matrix(tmp_path):
+    matrix, budget = noisy_instance(244)
+    assert budget.limit_bits == 174
+    dense = tmp_path / "noisy.txt"
+    cache = tmp_path / "cache"
+    write_dense(dense, matrix)
+    code, _, _ = run_cli("import-matrix", "--dense", str(dense), "--bits", "2,4,8",
+                         "--sizes", ",".join(map(str, matrix.layer_sizes)),
+                         "--cache-dir", str(cache))
+    assert code == 0
+    # unpruned, this search needs 121 nodes
+    code, out, _ = run_cli("solve", "--cache-dir", str(cache), "--budget-bits", "174",
+                           "--no-psd", "--node-limit", "100")
+    assert code == 0
+    kv = parse_kv(out)
+    assert kv["proved"] == "true"
+    best = solve_exhaustive(matrix, budget=budget)
+    assert kv["bits"] == "|".join(map(str, best.assignment.bits))
+
+
 def test_cache_dir_from_environment(quad_setup, monkeypatch):
     _, cache = quad_setup
     monkeypatch.setenv("MIXPREC_CACHE_DIR", str(cache))
@@ -420,6 +442,19 @@ def test_eval_validation(quad_setup, tmp_path):
     code, _, _ = run_cli("eval", "--model", str(model),
                          "--cache-dir", str(cache), "--assignment", "4,nope,8")
     assert code == 5
+
+
+def test_eval_rejects_a_cache_of_other_layer_sizes(quad_setup, tmp_path):
+    _, cache = quad_setup
+    other = tmp_path / "other.bin"
+    code, _, _ = run_cli("gen-quadratic", "--seed", "7", "--sizes", "3,2,5",
+                         "--rho", "0.8", "--out", str(other))
+    assert code == 0
+    code, out, err = run_cli("eval", "--model", str(other), "--cache-dir", str(cache),
+                             "--assignment", "4,2,8")
+    assert code == 5
+    assert out == ""
+    assert "(3, 2, 4)" in err and "(3, 2, 5)" in err
 
 
 def test_train_toy_command(tmp_path):

@@ -75,16 +75,6 @@ def test_random_quadratic_rho_interpolates_blocks():
     assert np.allclose(half.block(0, 1), 0.5 * full.block(0, 1), rtol=0, atol=1e-16)
 
 
-def test_random_quadratic_coupling_decay():
-    plain = random_quadratic(9, [2, 2, 2], 1.0)
-    damped = random_quadratic(9, [2, 2, 2], 1.0, coupling_decay=0.5)
-    assert np.allclose(damped.block(0, 1), 0.5 * plain.block(0, 1), rtol=0, atol=1e-16)
-    assert np.allclose(damped.block(0, 2), 0.25 * plain.block(0, 2), rtol=0, atol=1e-16)
-    assert np.array_equal(damped.block(1, 1), plain.block(1, 1))
-    top = np.linalg.norm(damped.curvature, 2)
-    assert np.linalg.eigvalsh(damped.curvature).min() >= -1e-12 * top
-
-
 def test_random_quadratic_sample_ratio_changes_spectrum():
     fat = random_quadratic(2, [4, 4], 1.0, sample_ratio=2.0)
     thin = random_quadratic(2, [4, 4], 1.0, sample_ratio=0.5)
@@ -100,10 +90,6 @@ def test_random_quadratic_validation():
         random_quadratic(0, [2, 2], 1.1)
     with pytest.raises(ValueError):
         random_quadratic(0, [2, 2], 0.5, sample_ratio=0.0)
-    with pytest.raises(ValueError):
-        random_quadratic(0, [2, 2], 0.5, coupling_decay=0.0)
-    with pytest.raises(ValueError):
-        random_quadratic(0, [2, 2], 0.5, coupling_decay=1.5)
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,7 @@ from helpers import (
     GOLDEN_TRIO_BUDGET_BITS,
     golden_quartet_matrix,
     golden_trio_matrix,
+    noisy_instance,
 )
 
 
@@ -182,8 +183,8 @@ def test_bnb_equals_exhaustive_on_psd_instances():
 
 
 def test_bnb_without_psd_assumption_still_exact():
-    # indefinite entries: bounds are off, the search degenerates to a
-    # guarded enumeration and must still return the exact optimum
+    # raw measured entries, indefinite for seed 2: the search must still
+    # return the exact optimum
     for seed in (0, 1, 2):
         m = _instance(seed, [2, 1, 3, 2], (2, 4, 8), rho=0.9, psd=False)
         budget = _mid_budget(m, 0.4)
@@ -393,7 +394,13 @@ def test_frank_wolfe_stops_once_the_primal_value_clears_the_cut():
     assert iters > 1
 
 
-def test_bnb_does_not_prune_on_negative_curvature(monkeypatch):
+def _assert_shift_makes_psd(entries, shift):
+    assert shift > 0.0
+    values = np.linalg.eigvalsh(entries + shift * np.eye(len(entries)))
+    assert values[0] >= -1e-12 * max(1.0, float(values[-1]))
+
+
+def test_bnb_prunes_negative_curvature_through_a_shift(monkeypatch):
     # positive diagonals push off the start, the large negative coupling
     # between the upgrade options makes the step direction concave
     entries = np.zeros((4, 4))
@@ -404,40 +411,24 @@ def test_bnb_does_not_prune_on_negative_curvature(monkeypatch):
     for limit in (4, 6, 8):
         report = solve_bnb(entries, (1, 1), (2, 4), SizeBudget(limit))
         best = solve_exhaustive(entries, (1, 1), (2, 4), SizeBudget(limit))
-        assert not report.bounds_valid
+        _assert_shift_makes_psd(entries, report.shift)
         assert report.proved
         assert (report.objective, report.assignment.bits) == (
             best.objective, best.assignment.bits)
-
-
-def _noisy_instance(seed: int):
-    """An indefinite matrix whose noise, like measurement noise, leaves the
-    same-layer cross-bit entries zero; returns it with a budget."""
-    rng = np.random.default_rng(seed)
-    num_layers = int(rng.integers(6, 11))
-    sizes = [int(s) for s in rng.integers(2, 5, size=num_layers)]
-    oracle = random_quadratic(seed, sizes, float(rng.uniform(0.3, 1.0)), sample_ratio=0.6)
-    m = build_matrix(oracle, BitMenu((2, 4, 8)))
-    noise = rng.standard_normal(m.entries.shape) * (0.3 * np.mean(np.abs(m.entries)))
-    noise = np.triu(noise) + np.triu(noise, 1).T
-    layer = np.repeat(np.arange(num_layers), 3)
-    noise[(layer[:, None] == layer[None, :]) & ~np.eye(m.dim, dtype=bool)] = 0.0
-    noisy = m.with_entries(m.entries + noise)
-    return noisy, _mid_budget(noisy, float(rng.uniform(0.2, 0.8)))
+    # an unpruned search of budget 8 visits all 7 nodes of the tree
+    assert report.nodes < 7
 
 
 def test_bnb_proof_holds_on_indefinite_matrices():
     # Frank-Wolfe sees no clearly concave step on these, so only a check of
-    # the matrix itself keeps their invalid bounds from pruning the optimum.
-    # With no bound to prove, Frank-Wolfe takes one step per node, only to
-    # supply a point to branch on.
-    for seed in (71, 92, 244, 282):
-        m, budget = _noisy_instance(seed)
-        report = solve_bnb(m, budget=budget)
+    # the matrix itself keeps their unshifted bounds from pruning the
+    # optimum.  The node limits are one below the unpruned search's counts.
+    for seed, node_limit in ((71, 120), (92, 12), (244, 120), (282, 39)):
+        m, budget = noisy_instance(seed)
+        report = solve_bnb(m, budget=budget, node_limit=node_limit)
         best = solve_exhaustive(m, budget=budget)
-        assert not report.bounds_valid
+        _assert_shift_makes_psd(m.entries, report.shift)
         assert report.proved
-        assert report.fw_iterations <= report.nodes
         assert (report.objective, report.assignment.bits) == (
             best.objective, best.assignment.bits)
 
@@ -508,6 +499,22 @@ def test_bounding_path_matches_exhaustive(monkeypatch):
         budget = _mid_budget(m, float(rng.uniform(0.2, 0.8)))
         reference = solve_exhaustive(m, budget=budget)
         report = solve_bnb(m, budget=budget)
+        assert report.fw_iterations > 0
+        assert report.proved
+        assert report.objective == reference.objective
+        assert report.assignment.bits == reference.assignment.bits
+        assert report.size_bits == reference.size_bits
+
+
+def test_bounding_path_matches_exhaustive_on_indefinite_matrices(monkeypatch):
+    # The same tiny enumeration cutoff, on matrices that are bounded
+    # through their diagonal shift.
+    monkeypatch.setattr(solver, "SUBCUBE_LIMIT", 4)
+    for seed in range(10):
+        m, budget = noisy_instance(seed)
+        reference = solve_exhaustive(m, budget=budget)
+        report = solve_bnb(m, budget=budget)
+        assert report.shift > 0.0
         assert report.fw_iterations > 0
         assert report.proved
         assert report.objective == reference.objective

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from mixprec.spectra import EigenDecomposition, eigh, psd_project
+from mixprec.oracles import random_quadratic
+from mixprec.spectra import EigenDecomposition, _psd_shift, eigh, psd_project
 
 
 def _random_symmetric(seed: int, n: int, scale: float = 1.0) -> np.ndarray:
@@ -124,3 +125,15 @@ def test_project_handles_tiny_and_huge_scales():
         p = psd_project(a)
         assert np.linalg.eigvalsh(p).min() >= -1e-10 * top
         assert np.max(np.abs(psd_project(p) - p)) <= 1e-10 * top
+
+
+def test_psd_shift_is_zero_on_psd_input_and_lifts_indefinite_input():
+    for seed in range(4):
+        assert _psd_shift(psd_project(_random_symmetric(seed + 200, 12))) == 0.0
+        assert _psd_shift(random_quadratic(seed, [3, 2, 4], 0.7).curvature) == 0.0
+    for seed, scale in ((0, 1e-6), (1, 1.0), (2, 1e6)):
+        a = _random_symmetric(seed + 300, 12, scale=scale)
+        shift = _psd_shift(a)
+        assert shift > 0.0
+        values = np.linalg.eigvalsh(a + shift * np.eye(12))
+        assert values[0] >= -1e-12 * max(1.0, float(values[-1]))
