@@ -132,8 +132,6 @@ def _load_cache(cache_dir: str) -> SensitivityMatrix:
     for path in paths:
         try:
             parts.append(load_matrix(path))
-        except FileFormatError:
-            raise
         except ValueError as exc:
             # A cache file that does not parse is a file problem, not an
             # argument problem.

@@ -29,6 +29,7 @@ import numpy as np
 
 from ._files import write_atomic
 from .quantizer import LayerSpec
+from .spectra import _require_finite
 
 __all__ = [
     "LossOracle",
@@ -97,11 +98,13 @@ class QuadraticOracle(LossOracle):
         h = np.asarray(h, dtype=np.float64)
         if h.shape != (dim, dim):
             raise ValueError(f"curvature must have shape {(dim, dim)}, got {h.shape}")
-        if not np.array_equal(h, h.T):
-            raise ValueError("curvature matrix must be exactly symmetric")
         optimum = np.asarray(optimum, dtype=np.float64).ravel()
         if optimum.size != dim:
             raise ValueError(f"optimum must have {dim} elements, got {optimum.size}")
+        _require_finite(h, "curvature")
+        _require_finite(optimum, "optimum")
+        if not np.array_equal(h, h.T):
+            raise ValueError("curvature matrix must be exactly symmetric")
         self._h = h
         self._offsets = np.concatenate([[0], np.cumsum(sizes)])
         self._baseline = float(baseline)

@@ -17,6 +17,7 @@ both, and the measurement loop never fills them.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -186,28 +187,16 @@ def build_matrix(oracle, menu, *, include_same_layer_cross: bool = False,
         for m in range(nb):
             p = i * nb + m
             g[p, p] = 2.0 * (oracle.evaluate({i: deltas[i][m]}) - baseline)
-    for i in range(num_layers - 1):
-        for j in range(i + 1, num_layers):
-            for m in range(nb):
-                for n in range(nb):
-                    p = i * nb + m
-                    q = j * nb + n
-                    joint = oracle.evaluate({i: deltas[i][m], j: deltas[j][n]})
-                    val = joint - baseline - 0.5 * g[p, p] - 0.5 * g[q, q]
-                    g[p, q] = val
-                    g[q, p] = val
-    if include_same_layer_cross:
-        for i in range(num_layers):
-            for m in range(nb - 1):
-                for n in range(m + 1, nb):
-                    p = i * nb + m
-                    q = i * nb + n
-                    joint = oracle.evaluate({i: deltas[i][m] + deltas[i][n]})
-                    val = joint - baseline - 0.5 * g[p, p] - 0.5 * g[q, q]
-                    g[p, q] = val
-                    g[q, p] = val
-    sample_count = int(getattr(oracle, "sample_count", 1))
-    matrix = SensitivityMatrix(menu, tuple(l.count for l in layers), g, sample_count)
+    for p, q in itertools.combinations(range(dim), 2):
+        (i, m), (j, n) = divmod(p, nb), divmod(q, nb)
+        if i != j:
+            joint = oracle.evaluate({i: deltas[i][m], j: deltas[j][n]})
+        elif include_same_layer_cross:
+            joint = oracle.evaluate({i: deltas[i][m] + deltas[i][n]})
+        else:
+            continue
+        g[p, q] = g[q, p] = joint - baseline - 0.5 * g[p, p] - 0.5 * g[q, q]
+    matrix = SensitivityMatrix(menu, tuple(l.count for l in layers), g, oracle.sample_count)
     if not include_same_layer_cross:
         assert matrix.has_block_zeros()
     return matrix

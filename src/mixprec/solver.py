@@ -64,7 +64,8 @@ FW_MAX_ITER = 1500
 
 BITS_PER_MB = 8 * 2 ** 20
 
-_ENUM_CHUNK = 100_000
+# Gathered entries per enumeration chunk (8 MiB of float64).
+_ENUM_TERMS = 2 ** 20
 # Relative slack applied when preselecting near-minimal rows; orders of
 # magnitude above accumulation round-off.
 _SAFETY = 1e-12
@@ -163,6 +164,8 @@ def _problem(g, sizes, menu):
         raise ValueError("layer sizes and a bit menu are required with a raw entries array")
     menu = menu if isinstance(menu, BitMenu) else BitMenu(menu)
     sizes = tuple(int(s) for s in sizes)
+    if not sizes:
+        raise ValueError("layer sizes must cover at least one layer")
     dim = len(menu) * len(sizes)
     if entries.shape != (dim, dim):
         raise ValueError(f"entries must have shape {(dim, dim)}, got {entries.shape}")
@@ -202,59 +205,43 @@ def _exact_key(entries, menu_bits, wmat, pos):
 def _enumerate_domains(entries, menu_bits, wmat, domains, limit):
     """Best (key, pos) over a restricted search box, or None if all infeasible.
 
-    Chunks are scored with vectorized float sums, near-minimal rows are kept
-    (one representative per distinct rounded value, smallest size then
-    lexicographic order), and survivors are re-scored exactly with fsum.
+    Each chunk gathers the ``L x L`` entries of every feasible row once.
+    Their float sum preselects the near-minimal rows; rows whose gathered
+    entries and size are byte-identical share their exact key up to the
+    bit vector, so only the first of them in lexicographic order is
+    re-scored exactly with fsum.
     """
     num_layers = len(domains)
-    nb = len(menu_bits)
-    shape = tuple(len(d) for d in domains)
-    total = 1
-    for s in shape:
-        total *= s
-    dom_arrays = [np.asarray(d, dtype=np.int64) for d in domains]
-    offsets = (np.arange(num_layers, dtype=np.int64) * nb)[None, :]
-    candidates = []
-    for start in range(0, total, _ENUM_CHUNK):
-        stop = min(start + _ENUM_CHUNK, total)
-        grid = np.unravel_index(np.arange(start, stop), shape)
-        pos = np.stack([dom_arrays[l][grid[l]] for l in range(num_layers)], axis=1)
-        size = np.zeros(stop - start, dtype=np.int64)
-        for l in range(num_layers):
-            size += wmat[l, pos[:, l]]
+    layers = np.arange(num_layers)
+    shape = tuple(map(len, domains))
+    choices = np.concatenate(domains)
+    starts = np.cumsum((0,) + shape[:-1])
+    offsets = layers * len(menu_bits)
+    total = math.prod(shape)
+    chunk = max(1, _ENUM_TERMS // num_layers ** 2)
+    seen = set()
+    best = None
+    for start in range(0, total, chunk):
+        index = np.arange(start, min(start + chunk, total))
+        pos = choices[starts + np.stack(np.unravel_index(index, shape), axis=1)]
+        size = wmat[layers, pos].sum(axis=1)
         feas = size <= limit
         if not feas.any():
             continue
+        pos, size = pos[feas], size[feas]
         flat = pos + offsets
-        score = np.zeros(stop - start)
-        for l in range(num_layers):
-            score += entries[flat[:, l], flat[:, l]]
-        for a in range(num_layers):
-            for b in range(a + 1, num_layers):
-                score += 2.0 * entries[flat[:, a], flat[:, b]]
-        score_f = score[feas]
-        size_f = size[feas]
-        pos_f = pos[feas]
-        low = float(score_f.min())
-        near = score_f <= low + _SAFETY * max(1.0, abs(low))
-        order = np.lexsort((size_f[near], score_f[near]))
-        seen = set()
-        near_pos = pos_f[near]
-        near_score = score_f[near]
-        for row in order:
-            mark = near_score[row].tobytes()
+        terms = entries[flat[:, :, None], flat[:, None, :]].reshape(len(flat), -1)
+        score = terms.sum(axis=1)
+        low = float(score.min())
+        for row in np.flatnonzero(score <= low + _SAFETY * max(1.0, abs(low))):
+            mark = (terms[row].tobytes(), int(size[row]))
             if mark in seen:
                 continue
             seen.add(mark)
-            candidates.append(near_pos[row])
-    if not candidates:
-        return None
-    best = None
-    for pos_row in candidates:
-        pos_t = tuple(int(p) for p in pos_row)
-        key = _exact_key(entries, menu_bits, wmat, pos_t)
-        if best is None or key < best[0]:
-            best = (key, pos_t)
+            pos_t = tuple(pos[row].tolist())
+            key = _exact_key(entries, menu_bits, wmat, pos_t)
+            if best is None or key < best[0]:
+                best = (key, pos_t)
     return best
 
 

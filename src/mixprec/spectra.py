@@ -36,8 +36,9 @@ def _require_finite(a: np.ndarray, what: str) -> None:
     """Reject NaN and infinite values, naming the first one in row-major order."""
     bad = np.argwhere(~np.isfinite(a))
     if bad.size:
-        row, col = (int(i) for i in bad[0])
-        raise ValueError(f"{what} holds a non-finite value {a[row, col]} at ({row}, {col})")
+        where = tuple(int(i) for i in bad[0])
+        raise ValueError(f"{what} holds a non-finite value {a[where]} "
+                         f"at ({', '.join(map(str, where))})")
 
 
 def _require_symmetric(a: np.ndarray) -> np.ndarray:

@@ -4,6 +4,7 @@ with an error that names the first offending (row, col)."""
 import numpy as np
 import pytest
 
+from mixprec.oracles import QuadraticOracle
 from mixprec.sensitivity import BitMenu, SensitivityMatrix, load_matrix, save_matrix
 from mixprec.solver import SizeBudget, solve_bnb
 from mixprec.spectra import eigh, psd_project
@@ -49,6 +50,20 @@ def test_solver_rejects_asymmetric_raw_entries():
     lopsided[0, 2] += 1e-6
     with pytest.raises(ValueError, match="symmetric"):
         solve_bnb(lopsided, (1, 1, 1, 1), (2, 32), SizeBudget(68))
+
+
+@pytest.mark.parametrize("value", BAD_VALUES)
+def test_quadratic_oracle_rejects_non_finite(value):
+    curvature = np.eye(3)
+    curvature[1, 2] = curvature[2, 1] = value
+    with pytest.raises(ValueError, match=r"curvature.*non-finite.*\(1, 2\)"):
+        QuadraticOracle(curvature, np.zeros(3), [2, 1])
+    # a lone non-finite entry is reported as such, not as an asymmetry
+    curvature[2, 1] = 0.0
+    with pytest.raises(ValueError, match=r"curvature.*non-finite.*\(1, 2\)"):
+        QuadraticOracle(curvature, np.zeros(3), [2, 1])
+    with pytest.raises(ValueError, match=r"optimum.*non-finite.*\(2\)"):
+        QuadraticOracle(np.eye(3), [0.0, 1.0, value], [2, 1])
 
 
 @pytest.mark.parametrize("text", ("inf", "nan"))

@@ -116,6 +116,16 @@ def test_objective_raw_array_route():
 # exhaustive solver against brute force
 
 def test_exhaustive_matches_brute_force():
+    _check_exhaustive_matches_brute_force()
+
+
+def test_exhaustive_matches_brute_force_across_chunks(monkeypatch):
+    # A tiny term budget splits every box into several enumeration chunks.
+    monkeypatch.setattr(solver, "_ENUM_TERMS", 16)
+    _check_exhaustive_matches_brute_force()
+
+
+def _check_exhaustive_matches_brute_force():
     for seed in range(12):
         rng = np.random.default_rng(seed + 50)
         L = int(rng.integers(2, 5))
@@ -142,6 +152,27 @@ def test_exhaustive_tie_breaks_smallest_size_then_lex():
     assert report.size_bits == 6
 
 
+def test_enumeration_keeps_rows_that_win_only_on_the_exact_sum():
+    # (2, 2) and (2, 4) both have the float sum 1.0, but the exact sum of
+    # (2, 2) is 1 + 1.2e-16, which fsum rounds up to the next double.
+    entries = np.zeros((4, 4))
+    entries[0, 0] = 1.0
+    entries[1, 1] = 5.0
+    entries[2, 2] = 0.6e-16
+    entries[0, 2] = entries[2, 0] = 0.3e-16
+    repro = SensitivityMatrix(BitMenu((2, 4)), (1, 1), entries, 1)
+    assert _brute_force(repro, SizeBudget(100)) == (1.0, 6, (2, 4))
+    # Here the optimum shares its float sum with a smaller assignment that
+    # is one ulp worse exactly; brute force, not pinned bits, keeps the
+    # check independent of BLAS round-off in the projection.
+    measured = _instance(17, [4, 3, 3, 4, 2, 3, 3, 2], (2, 4, 8), rho=0.793006018555495)
+    for m, budget in ((repro, SizeBudget(100)), (measured, SizeBudget(110))):
+        want = _brute_force(m, budget)
+        for solve in (solve_exhaustive, solve_bnb):
+            report = solve(m, budget=budget)
+            assert (report.objective, report.size_bits, report.assignment.bits) == want
+
+
 def test_exhaustive_all_max_bits_when_budget_allows():
     m = golden_quartet_matrix()
     report = solve_exhaustive(m, budget=SizeBudget(4 * 32))
@@ -154,6 +185,12 @@ def test_exhaustive_refuses_oversized_space():
     entries = np.zeros((48, 48))
     with pytest.raises(SearchSpaceError):
         solve_exhaustive(entries, [1] * 24, (2, 4), budget=SizeBudget(10 ** 9))
+
+
+def test_raw_entries_need_at_least_one_layer():
+    for solve in (solve_exhaustive, solve_bnb):
+        with pytest.raises(ValueError, match="at least one layer"):
+            solve(np.zeros((0, 0)), (), (2, 4), 10)
 
 
 def test_infeasible_budget_raises():
