@@ -9,10 +9,15 @@ search spaces).  ``solve_bnb`` is an exact depth-first branch-and-bound:
 lower bounds come from a Frank-Wolfe solve of the continuous relaxation
 over the product of per-layer simplices cut by the budget half-space,
 whose linear subproblem is a multiple-choice-knapsack LP solved greedily
-on per-layer convex hulls.  An indefinite matrix is bounded through
-``G + s*I``, with the smallest uniform shift ``s`` that makes it PSD
-(Hammer & Rubin, RAIRO 1970): on one-hot points of ``L`` layers that adds
-exactly ``s*L`` to the objective, so the cut moves by the same amount.
+on per-layer convex hulls.  Bounds come from a convexified matrix in
+the manner of the quadratic convex reformulation (Hammer & Rubin, RAIRO
+1970; Billionnet & Elloumi, Math. Program. 109, 2007): the largest
+diagonal ``a``, proportional to ``diag(G)``, that leaves ``G - diag(a)``
+PSD is moved into a linear term ``a'x``, which tightens the relaxation
+because ``x_p**2 <= x_p`` on it and equals ``a'x`` on one-hot points.  The
+linear term is folded into each layer's block, where the layer's simplex
+sum makes it quadratic without adding curvature.  This works for
+indefinite matrices too, whose ``a`` is negative.
 A node's Frank-Wolfe solve stops as soon as its primal value drops below
 the pruning cut, because no bound at that node can prune it any more.
 ``solve_diagonal_only`` and ``solve_block`` rerun the same search on
@@ -32,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .sensitivity import BitMenu, SensitivityMatrix
-from .spectra import _psd_shift
+from .spectra import _psd_shift, _require_symmetric
 
 __all__ = [
     "BitAssignment",
@@ -126,7 +131,12 @@ class SizeBudget:
 
 @dataclass
 class SolveReport:
-    """Outcome of one solve: the assignment plus proof and effort metadata."""
+    """Outcome of one solve: the assignment plus proof and effort metadata.
+
+    ``shift`` is the scale of the diagonal shift branch-and-bound bounded
+    through (see ``solve_bnb``): positive on an indefinite matrix, at most
+    0 on a PSD one, 0.0 when no node was bounded.
+    """
 
     method: str
     status: str
@@ -169,6 +179,8 @@ def _problem(g, sizes, menu):
     dim = len(menu) * len(sizes)
     if entries.shape != (dim, dim):
         raise ValueError(f"entries must have shape {(dim, dim)}, got {entries.shape}")
+    # Check only: the caller's bytes are what gets scored.
+    _require_symmetric(entries)
     return entries, sizes, menu
 
 
@@ -339,13 +351,14 @@ def _lmo(cost, domains, wmat, limit):
 def _frank_wolfe(entries, domains, wmat, limit, tol, max_iter, stop_lb=None):
     """Minimize ``x' G x`` over the relaxation; returns the best dual bound seen.
 
-    Each ``f - gap`` is a valid lower bound when ``entries`` is positive
-    semidefinite.  ``stop_lb`` is the caller's pruning cut.  Iteration
-    stops once the bound clears it, or once a step brings the primal
-    value ``f`` below it: ``f`` is the objective at a feasible point, so
-    it bounds the relaxation optimum from above and no bound can reach
-    the cut any more.  Otherwise iteration stops once the gap is small
-    or the bound stops improving; the rate is sublinear on singular
+    Each ``f - gap`` is a valid lower bound when ``x' G x`` is convex along
+    every direction that keeps each layer's simplex sum, as it is for the
+    matrices ``_convexify`` builds.  ``stop_lb`` is the caller's pruning
+    cut.  Iteration stops once the bound clears it, or once a step brings
+    the primal value ``f`` below it: ``f`` is the objective at a feasible
+    point, so it bounds the relaxation optimum from above and no bound can
+    reach the cut any more.  Otherwise iteration stops once the gap is
+    small or the bound stops improving; the rate is sublinear on singular
     matrices, so chasing the gap itself can be hopeless.
     """
     num_layers = len(domains)
@@ -400,6 +413,31 @@ def _frank_wolfe(entries, domains, wmat, limit, tol, max_iter, stop_lb=None):
     return xf.reshape(num_layers, nb), f, gap, iters, best_lb
 
 
+def _convexify(entries, nb):
+    """Bounding matrix ``B``, cut offset ``s`` and reported shift of ``G``.
+
+    With ``w = diag(G)`` when that is positive throughout and all ones
+    otherwise, ``t`` is the smallest eigenvalue of ``W^-1/2 G W^-1/2`` and
+    ``a = t*w``, so ``Q = G - diag(a)``, a congruence of that matrix minus
+    ``t*I``, is PSD; ``s = _psd_shift(Q)`` only absorbs round-off.  ``B`` is
+    ``Q + s*I`` plus ``a`` folded into each layer's block as
+    ``(a_p + a_q) / 2``, which equals ``a'x`` on every point of the layer
+    simplices.  On one-hot points ``x' B x = x' G x + s*L``.  The shift is
+    ``-t``: ``G + shift*diag(w)`` is ``Q``.
+    """
+    diagonal = np.diagonal(entries)
+    w = diagonal if np.all(diagonal > 0.0) else np.ones(len(entries))
+    root = 1.0 / np.sqrt(w)
+    t = float(np.linalg.eigvalsh(entries * root[:, None] * root[None, :])[0])
+    a = t * w
+    bounded = entries - np.diag(a)
+    s = _psd_shift(bounded)
+    layer = np.arange(len(entries)) // nb
+    bounded += np.where(layer[:, None] == layer[None, :], 0.5 * (a[:, None] + a[None, :]), 0.0)
+    bounded[np.diag_indices_from(bounded)] += s
+    return bounded, s, -t
+
+
 def _bnb_core(entries, layer_sizes, menu, budget, method, *,
               node_limit: int = 1_000_000, time_limit: float | None = None) -> SolveReport:
     """Depth-first branch-and-bound; the keyword options are the only
@@ -419,9 +457,10 @@ def _bnb_core(entries, layer_sizes, menu, budget, method, *,
     stack = [root]
     nodes = 0
     fw_total = 0
-    # Bounds and cut see G + shift*I; every exact score stays on G.
-    shift = _psd_shift(entries)
-    bounded = entries + shift * np.eye(len(entries)) if shift > 0.0 else entries
+    # Bounds and cut see _convexify's matrix, built at the first node that
+    # needs a bound; every exact score stays on G.
+    bounded = None
+    offset = shift = 0.0
     limited = False
     deadline = None if time_limit is None else time.monotonic() + float(time_limit)
     while stack:
@@ -441,7 +480,9 @@ def _bnb_core(entries, layer_sizes, menu, budget, method, *,
             if best is not None and best[0] < inc_key:
                 inc_key, inc_pos = best
             continue
-        target = inc_key[0] + shift * num_layers
+        if bounded is None:
+            bounded, offset, shift = _convexify(entries, nb)
+        target = inc_key[0] + offset * num_layers
         cut = target + _PRUNE_SAFETY * max(1.0, abs(target))
         x, f, gap, iters, lb = _frank_wolfe(
             bounded, domains, wmat, limit, FW_TOL, FW_MAX_ITER, stop_lb=cut)
@@ -473,11 +514,14 @@ def _bnb_core(entries, layer_sizes, menu, budget, method, *,
 def solve_bnb(g, sizes=None, menu=None, budget=None, **options) -> SolveReport:
     """Exact branch-and-bound over one-hot assignments.
 
-    The matrix need not be PSD: each solve computes once the diagonal
-    shift that makes its bounds valid and reports it in ``shift`` (0.0 for
-    a PSD matrix).  ``proved`` means neither the ``node_limit`` nor the
-    ``time_limit`` option cut the search short.  Other option names raise
-    ``TypeError``.
+    The matrix need not be PSD: the first node that needs a bound computes
+    once the scaled diagonal shift that convexifies it, and the report's
+    ``shift`` is its scale: bounds use ``G + shift*diag(w)``, with ``w`` the
+    diagonal of ``G`` if that is positive and all ones otherwise.  It is
+    positive exactly when ``G`` is indefinite (up to round-off), at most 0
+    on PSD input, and 0.0 when no node was bounded.  ``proved`` means
+    neither the ``node_limit`` nor the ``time_limit`` option cut the
+    search short.  Other option names raise ``TypeError``.
     """
     entries, layer_sizes, menu = _problem(g, sizes, menu)
     return _bnb_core(entries, layer_sizes, menu, _as_budget(budget), "full", **options)

@@ -81,10 +81,12 @@ def psd_project(a) -> np.ndarray:
 def _psd_shift(a) -> float:
     """Diagonal shift ``s`` that makes ``a + s*I`` positive semidefinite.
 
-    0.0 when the smallest eigenvalue of ``a`` is at least
-    ``-1e-12 * max(1, largest)``, far above the round-off psd_project
-    leaves; otherwise minus that eigenvalue, which lifts it to zero and so
-    keeps the tolerance as margin against round-off.
+    The solver's round-off net: it checks a matrix that is PSD in exact
+    arithmetic, so the answer is normally 0.0.  That is returned when the
+    smallest eigenvalue of ``a`` is at least ``-1e-12 * max(1, largest)``,
+    far above the round-off psd_project leaves; otherwise minus that
+    eigenvalue, which lifts it to zero and so keeps the tolerance as margin
+    against round-off.
     """
     values = np.linalg.eigvalsh(_require_symmetric(a))
     low = float(values[0])

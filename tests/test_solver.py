@@ -22,13 +22,14 @@ from mixprec.solver import (
     solve_exhaustive,
     solve_with_method,
     sweep,
+    _convexify,
     _frank_wolfe,
     _lmo,
     _mask_couplings,
     _partition_groups,
     _quadratic_form,
 )
-from mixprec.spectra import psd_project
+from mixprec.spectra import _psd_shift, psd_project
 
 from helpers import (
     GOLDEN_QUARTET_BUDGET_BITS,
@@ -431,9 +432,15 @@ def test_frank_wolfe_stops_once_the_primal_value_clears_the_cut():
     assert iters > 1
 
 
+def _shift_scale(entries):
+    """The ``w`` the shift scales: the diagonal if positive, else all ones."""
+    diagonal = np.diagonal(entries)
+    return diagonal if np.all(diagonal > 0.0) else np.ones(len(entries))
+
+
 def _assert_shift_makes_psd(entries, shift):
     assert shift > 0.0
-    values = np.linalg.eigvalsh(entries + shift * np.eye(len(entries)))
+    values = np.linalg.eigvalsh(entries + shift * np.diag(_shift_scale(entries)))
     assert values[0] >= -1e-12 * max(1.0, float(values[-1]))
 
 
@@ -468,6 +475,63 @@ def test_bnb_proof_holds_on_indefinite_matrices():
         assert report.proved
         assert (report.objective, report.assignment.bits) == (
             best.objective, best.assignment.bits)
+
+
+def _convexify_case(case):
+    if case == "psd":
+        return _instance(3, [2, 3, 2, 4], (2, 4, 8), psd=False).entries
+    entries = noisy_instance(11)[0].entries.copy()
+    if case == "indefinite":
+        np.fill_diagonal(entries, np.abs(np.diagonal(entries)))
+    elif case == "zero-diagonal":
+        entries[4, 4] = 0.0
+    return entries
+
+
+@pytest.mark.parametrize("case", ("psd", "noisy", "indefinite", "zero-diagonal"))
+def test_convexify_is_tight_and_exact_on_one_hot_points(case):
+    entries = _convexify_case(case)
+    nb = 3
+    num_layers = len(entries) // nb
+    lowest = np.linalg.eigvalsh(entries)[0]
+    bounded, offset, shift = _convexify(entries, nb)
+    assert (shift < 0.0) if lowest > 0.0 else (shift > 0.0)
+    w = _shift_scale(entries)
+    assert np.all(w == 1.0) == (case in ("noisy", "zero-diagonal"))
+    reformulated = entries + shift * np.diag(w)
+    assert _psd_shift(reformulated) == 0.0
+    assert offset == 0.0
+    # no larger shift scale keeps the reformulated matrix PSD
+    root = 1.0 / np.sqrt(w)
+    values = np.linalg.eigvalsh(reformulated * root[:, None] * root[None, :])
+    assert abs(values[0]) <= 1e-12 * max(1.0, float(values[-1]))
+    # the bounded matrix carries that same shift, folded into each layer
+    a = -shift * w
+    layer = np.arange(len(entries)) // nb
+    fold = np.where(layer[:, None] == layer[None, :], 0.5 * (a[:, None] + a[None, :]), 0.0)
+    scale = np.max(np.abs(bounded))
+    np.testing.assert_allclose(bounded, reformulated + fold, rtol=0, atol=1e-12 * scale)
+    for pos in itertools.product(range(nb), repeat=num_layers):
+        idx = np.arange(num_layers) * nb + pos
+        exact = entries[np.ix_(idx, idx)].sum() + offset * num_layers
+        assert bounded[np.ix_(idx, idx)].sum() == pytest.approx(
+            exact, rel=1e-12, abs=1e-12 * scale)
+
+
+def test_shift_is_computed_only_when_a_node_is_bounded():
+    # every golden-quartet solve enumerates its root
+    report = solve_bnb(golden_quartet_matrix(), budget=SizeBudget(GOLDEN_QUARTET_BUDGET_BITS))
+    assert report.nodes == 1 and report.fw_iterations == 0
+    assert report.shift == 0.0
+
+
+def test_sixteen_layer_search_is_proved_within_300_nodes():
+    # The scaled shift proves this search in about a hundred nodes;
+    # bounding through the PSD matrix itself needs 1,060.
+    m = _instance(1, [64] * 16, (2, 4, 8), rho=0.6)
+    report = solve_bnb(m, budget=SizeBudget(5120), node_limit=300)
+    assert report.proved
+    assert report.assignment.bits == (4, 4, 8, 4, 4, 4, 4, 8, 4, 4, 4, 8, 4, 4, 4, 8)
 
 
 # ---------------------------------------------------------------------------
