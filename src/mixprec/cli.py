@@ -329,6 +329,8 @@ def cmd_eval(args) -> int:
     sizes = tuple(layer.count for layer in oracle.layers)
     if matrix.layer_sizes != sizes:
         raise ValueError(f"cache has layer sizes {matrix.layer_sizes}, model has {sizes}")
+    for b in bits:
+        matrix.menu.index(b)  # an off-menu width fails before any layer is calibrated
     assignment = BitAssignment(bits)
     perturbations = {i: perturbation(layer, b)
                      for i, (layer, b) in enumerate(zip(oracle.layers, bits))}

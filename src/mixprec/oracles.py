@@ -9,6 +9,8 @@ are never mutated and repeated calls return identical values.
 * ``QuadraticOracle``: analytic loss ``baseline + 0.5 d' H d`` around a
   known optimum, so second-order behavior is exact and measured
   sensitivities can be checked against the curvature blocks directly.
+  An evaluation reads only the perturbed layers' rows of ``H``, so it
+  costs ``O(sum_k n_k * dim)`` over perturbed layers of ``n_k`` weights.
 * ``ToyClassifierOracle``: a small fully-connected tanh classifier on a
   deterministic two-moons dataset, trained here; the cheapest oracle
   whose curvature has genuine cross-layer structure.
@@ -20,6 +22,7 @@ little-endian payload.
 
 from __future__ import annotations
 
+import itertools
 import json
 import struct
 from abc import ABC, abstractmethod
@@ -89,7 +92,12 @@ class LossOracle(ABC):
 
 
 class QuadraticOracle(LossOracle):
-    """Exact quadratic loss around an optimum with known curvature blocks."""
+    """Exact quadratic loss around an optimum with known curvature blocks.
+
+    ``evaluate`` touches only the rows of ``H`` that belong to perturbed
+    layers: ``O(sum_k n_k * dim)`` a call, so measuring a single layer or
+    a pair does not stream the whole ``dim x dim`` matrix.
+    """
 
     def __init__(self, h, optimum, layer_sizes, *, baseline: float = 0.0,
                  sample_count: int = 1):
@@ -106,13 +114,14 @@ class QuadraticOracle(LossOracle):
         if not np.array_equal(h, h.T):
             raise ValueError("curvature matrix must be exactly symmetric")
         self._h = h
-        self._offsets = np.concatenate([[0], np.cumsum(sizes)])
+        ends = itertools.accumulate(sizes)
+        self._rows = [slice(end - size, end) for size, end in zip(sizes, ends)]
+        # Views, not copies: each layer's rows of ``h`` across every column.
+        self._row_blocks = [h[rows] for rows in self._rows]
         self._baseline = float(baseline)
         self._samples = int(sample_count)
-        self.layers = [
-            LayerSpec(f"layer{i}", optimum[self._offsets[i]:self._offsets[i + 1]])
-            for i in range(len(sizes))
-        ]
+        self.layers = [LayerSpec(f"layer{i}", optimum[rows])
+                       for i, rows in enumerate(self._rows)]
 
     @property
     def sample_count(self) -> int:
@@ -124,16 +133,24 @@ class QuadraticOracle(LossOracle):
 
     def block(self, i: int, j: int) -> np.ndarray:
         """Curvature block coupling layers ``i`` and ``j``."""
-        ri = slice(self._offsets[i], self._offsets[i + 1])
-        rj = slice(self._offsets[j], self._offsets[j + 1])
-        return self._h[ri, rj]
+        return self._h[self._rows[i], self._rows[j]]
 
     def evaluate(self, perturbations) -> float:
+        """``baseline + 0.5 d'Hd`` from the perturbed layers' rows of ``H``.
+
+        Only the rows of perturbed layers meet a nonzero entry of ``d``, so
+        the form is ``sum_k d_k . (H[rows_k, :] . d)`` over the perturbed
+        layers ``k``, summed in the order ``perturbations`` lists them: a
+        call costs ``O(sum_k n_k * dim)``, not ``O(dim^2)``.
+        """
         checked = self._check_perturbations(perturbations)
         delta = np.zeros(self._h.shape[0])
         for idx, vec in checked.items():
-            delta[self._offsets[idx]:self._offsets[idx + 1]] = vec
-        return self._baseline + 0.5 * float(delta @ (self._h @ delta))
+            delta[self._rows[idx]] = vec
+        form = 0.0
+        for idx, vec in checked.items():
+            form += float(vec.dot(self._row_blocks[idx].dot(delta)))
+        return self._baseline + 0.5 * form
 
 
 def random_quadratic(seed: int, layer_sizes, rho: float, *,

@@ -444,6 +444,28 @@ def test_eval_validation(quad_setup, tmp_path):
     assert code == 5
 
 
+def test_eval_rejects_an_off_menu_width_before_calibrating(quad_setup, monkeypatch):
+    model, cache = quad_setup
+    calls = []
+    calibrate = quantizer.calibrate_scale_mse
+
+    def counting(w, bits):
+        calls.append(bits)
+        return calibrate(w, bits)
+
+    monkeypatch.setattr(quantizer, "calibrate_scale_mse", counting)
+    code, out, err = run_cli("eval", "--model", str(model), "--cache-dir", str(cache),
+                             "--assignment", "4,3,8")
+    assert code == 5
+    assert out == ""
+    assert "bit-width 3 is not in the menu (2, 4, 8)" in err
+    assert calls == []
+    code, _, _ = run_cli("eval", "--model", str(model), "--cache-dir", str(cache),
+                         "--assignment", "4,2,8")
+    assert code == 0
+    assert len(calls) == 3  # the counter sees calibrations on the accepted path
+
+
 def test_eval_rejects_a_cache_of_other_layer_sizes(quad_setup, tmp_path):
     _, cache = quad_setup
     other = tmp_path / "other.bin"

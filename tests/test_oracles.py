@@ -56,6 +56,36 @@ def test_quadratic_block_accessor():
     assert np.array_equal(q.block(1, 1), h[2:5, 2:5])
 
 
+def test_quadratic_evaluate_matches_dense_reference():
+    sizes = [3, 1, 5, 2]
+    q = random_quadratic(4, sizes, 0.7)
+    q = QuadraticOracle(q.curvature, np.zeros(sum(sizes)), sizes, baseline=0.75)
+    rng = np.random.default_rng(0)
+    vecs = [rng.normal(size=s) for s in sizes]
+    starts = np.cumsum([0] + sizes)
+    cases = [{}, {2: vecs[2]}, {3: vecs[3], 0: vecs[0]}, dict(enumerate(vecs))]
+    for case in cases:
+        delta = np.zeros(sum(sizes))
+        for idx, vec in case.items():
+            delta[starts[idx]:starts[idx + 1]] = vec
+        want = 0.75 + 0.5 * float(delta @ q.curvature @ delta)
+        got = q.evaluate(case)
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+        assert all(q.evaluate(case) == got for _ in range(3))
+    assert q.evaluate({}) == 0.75
+
+
+def test_quadratic_evaluate_reads_only_perturbed_rows():
+    sizes = [3, 1, 5, 2]
+    q = random_quadratic(4, sizes, 0.7)
+    want = q.evaluate({1: [0.5], 3: [0.25, -1.0]})
+    starts = np.cumsum([0] + sizes)
+    for idx in (0, 2):
+        q.curvature[starts[idx]:starts[idx + 1], :] = np.nan
+    assert q.evaluate({1: [0.5], 3: [0.25, -1.0]}) == want
+    assert np.isnan(q.evaluate({2: np.ones(5)}))
+
+
 def test_random_quadratic_is_psd_and_deterministic():
     for rho in (0.0, 0.4, 1.0):
         q1 = random_quadratic(5, [3, 2, 4], rho)
