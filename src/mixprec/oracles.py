@@ -4,7 +4,9 @@ Two implementations of one interface: an ordered list of layers plus
 ``evaluate(perturbations)``, where ``perturbations`` maps layer index to
 an additive weight perturbation and the result is the mean loss over
 the oracle's fixed evaluation set.  Evaluation is pure: stored weights
-are never mutated and repeated calls return identical values.
+are never mutated and repeated calls return identical values.  That
+holds through ``ToyClassifierOracle``'s private cache of activations,
+which changes where a forward pass starts but never a result.
 
 * ``QuadraticOracle``: analytic loss ``baseline + 0.5 d' H d`` around a
   known optimum, so second-order behavior is exact and measured
@@ -13,7 +15,10 @@ are never mutated and repeated calls return identical values.
   costs ``O(sum_k n_k * dim)`` over perturbed layers of ``n_k`` weights.
 * ``ToyClassifierOracle``: a small fully-connected tanh classifier on a
   deterministic two-moons dataset, trained here; the cheapest oracle
-  whose curvature has genuine cross-layer structure.
+  whose curvature has genuine cross-layer structure.  An evaluation
+  resumes from the longest layer prefix it shares with the baseline call
+  or the previous call, so it recomputes only the layers from the first
+  perturbed one that changed.
 
 Oracles round-trip through a little binary container: an 8-byte magic,
 a little-endian uint32 header length, a JSON header, and a float32
@@ -201,6 +206,13 @@ class ToyModel:
     noise: float
     train_count: int
 
+    def __post_init__(self):
+        for name in ("weights", "biases"):
+            arrays = tuple(np.asarray(a, dtype=np.float64) for a in getattr(self, name))
+            for arr in arrays:
+                arr.setflags(write=False)
+            object.__setattr__(self, name, arrays)
+
 
 def _moons_stream(seed: int, tag: int, start: int, count: int, noise: float):
     if count < 0 or start < 0:
@@ -236,11 +248,35 @@ def _eval_stream(model: ToyModel, start: int, count: int):
     return _moons_stream(model.seed, _TAG_EVAL_DATA, start, count, model.noise)
 
 
-def _forward(weights, biases, x):
-    h = x
-    for w, b in zip(weights[:-1], biases[:-1]):
+def _forward(weights, biases, h, start=0):
+    """Outputs of layers ``start`` on, given ``h``, the input to ``start``.
+
+    Returns the activation after each hidden layer from ``start`` on, then
+    the logits.  This is the only forward pass, so a pass resumed from a
+    stored activation runs exactly the operations of a full one.
+    """
+    outputs = []
+    for w, b in zip(weights[start:-1], biases[start:-1]):
         h = np.tanh(h @ w + b)
-    return h @ weights[-1] + biases[-1]
+        outputs.append(h)
+    outputs.append(h @ weights[-1] + biases[-1])
+    return outputs
+
+
+def _shared_prefix(weights, traced, own) -> int:
+    """Number of leading layers whose effective weights are the same.
+
+    A layer at the model's own array ``own[k]`` matches only by identity;
+    two perturbed layers match when they are bitwise equal, compared as
+    ``uint64`` so that ``-0.0`` against ``0.0`` and NaNs stay exact.
+    """
+    for k, (a, b) in enumerate(zip(weights, traced)):
+        if a is b:
+            continue
+        if a is own[k] or b is own[k] or not np.array_equal(
+                a.view(np.uint64), b.view(np.uint64)):
+            return k
+    return len(weights)
 
 
 def _mean_cross_entropy(logits, labels):
@@ -258,6 +294,15 @@ class ToyClassifierOracle(LossOracle):
     measurements over adjacent windows average to the one-shot result.
     Only the weight matrices are exposed as quantizable layers; biases
     stay at full precision.
+
+    ``evaluate`` keeps two traces, of the baseline call and of the latest
+    call: every layer's effective weights and the input to every layer.
+    A call starts its forward pass at the first layer whose effective
+    weights differ from the trace sharing the longest prefix with it, from
+    that trace's stored input, so measuring a pair recomputes only the
+    layers from the first one that changed.  The traces decide where a
+    pass starts, never its result: every call returns what a fresh oracle
+    would, in any call order.
     """
 
     def __init__(self, model: ToyModel, *, eval_start: int = 0, eval_count: int = 256):
@@ -266,6 +311,7 @@ class ToyClassifierOracle(LossOracle):
         self.model = model
         self._eval_x, self._eval_y = _eval_stream(model, eval_start, eval_count)
         self.layers = [LayerSpec(f"fc{i}", w.ravel()) for i, w in enumerate(model.weights)]
+        self._baseline_trace = self._last_trace = None
 
     @property
     def sample_count(self) -> int:
@@ -273,17 +319,28 @@ class ToyClassifierOracle(LossOracle):
 
     def evaluate(self, perturbations) -> float:
         checked = self._check_perturbations(perturbations)
-        weights = list(self.model.weights)
+        own = self.model.weights
+        weights = list(own)
         for idx, vec in checked.items():
             weights[idx] = weights[idx] + vec.reshape(weights[idx].shape)
-        logits = _forward(weights, self.model.biases, self._eval_x)
+        # The output layer always runs: a trace stores inputs, not logits.
+        start, inputs = 0, [self._eval_x]
+        for trace in (self._baseline_trace, self._last_trace):
+            if trace is not None:
+                shared = min(_shared_prefix(weights, trace[0], own), len(weights) - 1)
+                if shared > start:
+                    start, inputs = shared, trace[1][:shared + 1]
+        *hidden, logits = _forward(weights, self.model.biases, inputs[-1], start)
+        self._last_trace = (weights, inputs + hidden)
+        if not checked:
+            self._baseline_trace = self._last_trace
         return _mean_cross_entropy(logits, self._eval_y)
 
 
 def toy_training_accuracy(model: ToyModel) -> float:
     """Fraction of the model's own training set it classifies correctly."""
     x, y = make_moons(model.seed, model.train_count, noise=model.noise)
-    logits = _forward(model.weights, model.biases, x)
+    logits = _forward(model.weights, model.biases, x)[-1]
     return float(np.mean(np.argmax(logits, axis=1) == y))
 
 
@@ -315,12 +372,8 @@ def train_toy(seed: int, epochs: int = 2000, *, depth: int = 8, hidden: int = 16
     onehot = np.eye(2)[y]
     n = len(y)
     for step in range(1, epochs + 1):
-        acts = [x]
-        h = x
-        for w, b in zip(weights[:-1], biases[:-1]):
-            h = np.tanh(h @ w + b)
-            acts.append(h)
-        logits = acts[-1] @ weights[-1] + biases[-1]
+        *hidden, logits = _forward(weights, biases, x)
+        acts = [x] + hidden
         z = logits - logits.max(axis=1, keepdims=True)
         p = np.exp(z)
         p /= p.sum(axis=1, keepdims=True)

@@ -426,6 +426,7 @@ def _convexify(entries, nb):
     ``-t``: ``G + shift*diag(w)`` is ``Q``.
     """
     diagonal = np.diagonal(entries)
+    # Deliberate: flooring the non-positive entries instead doubles the nodes.
     w = diagonal if np.all(diagonal > 0.0) else np.ones(len(entries))
     root = 1.0 / np.sqrt(w)
     t = float(np.linalg.eigvalsh(entries * root[:, None] * root[None, :])[0])

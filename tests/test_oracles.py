@@ -1,11 +1,16 @@
+import itertools
 import os
+import random
 
 import numpy as np
 import pytest
 
+from mixprec import oracles
 from mixprec.oracles import (
     FileFormatError,
+    LossOracle,
     QuadraticOracle,
+    ToyClassifierOracle,
     load_oracle,
     make_moons,
     random_quadratic,
@@ -13,7 +18,7 @@ from mixprec.oracles import (
     train_toy,
     toy_training_accuracy,
 )
-from mixprec.sensitivity import BitMenu, SensitivityMatrix, build_matrix
+from mixprec.sensitivity import BitMenu, SensitivityMatrix, build_matrix, layer_perturbations
 from mixprec.quantizer import perturbation
 
 from helpers import MatrixBackedOracle, golden_quartet_matrix
@@ -176,6 +181,100 @@ def test_train_toy_validation():
         train_toy(0, depth=1)
     with pytest.raises(ValueError):
         train_toy(0, epochs=5, eval_count=0)
+
+
+def test_toy_model_arrays_are_read_only(tmp_path):
+    oracle = train_toy(1, epochs=5, depth=3, eval_count=8)
+    path = tmp_path / "toy.bin"
+    save_oracle(oracle, path)
+    for model in (oracle.model, load_oracle(path).model):
+        for arr in model.weights + model.biases:
+            assert arr.dtype == np.float64
+            with pytest.raises(ValueError):
+                arr[...] = 0.0
+    base = oracle.evaluate({})
+    with pytest.raises(ValueError):
+        oracle.model.weights[0][0, 0] = 1.0
+    assert oracle.evaluate({}) == base
+
+
+@pytest.fixture(scope="module")
+def small_toy():
+    """A trained depth-4 toy; tests build their own oracles on its model."""
+    return train_toy(3, epochs=60, depth=4, hidden=16, eval_count=32).model
+
+
+def _fresh_loss(model, perturbations):
+    return ToyClassifierOracle(model, eval_count=32).evaluate(perturbations)
+
+
+def test_toy_evaluate_matches_a_fresh_oracle_in_any_call_order(small_toy):
+    oracle = ToyClassifierOracle(small_toy, eval_count=32)
+    rng = np.random.default_rng(0)
+    vecs = [[rng.normal(0.0, 0.05, layer.count) for _ in range(2)] for layer in oracle.layers]
+    count = len(vecs)
+    calls = [{}]
+    calls += [{i: vecs[i][m]} for i in range(count) for m in range(2)]
+    calls += [{i: vecs[i][m], j: vecs[j][n]}
+              for i, j in itertools.combinations(range(count), 2)
+              for m in range(2) for n in range(2)]
+    calls += [{3: vecs[3][1], 1: vecs[1][0]}, dict(enumerate(v[1] for v in vecs))]
+    repeated = {0: vecs[0][1], 2: vecs[2][0]}
+    shared = vecs[1][1].copy()
+    mutated = {1: shared}
+    # Each step is a run of consecutive calls; "mutate" writes into ``shared``.
+    steps = [[call] for call in calls] + [[repeated, repeated], [mutated, "mutate", mutated]]
+    random.Random(7).shuffle(steps)
+    for step in steps:
+        for call in step:
+            if isinstance(call, str):
+                shared[::3] += 0.01
+                continue
+            assert oracle.evaluate(call) == _fresh_loss(small_toy, call)
+
+
+class _FreshOraclePerCall(LossOracle):
+    def __init__(self, oracle):
+        self.layers = oracle.layers
+        self._model = oracle.model
+
+    @property
+    def sample_count(self) -> int:
+        return 32
+
+    def evaluate(self, perturbations) -> float:
+        return _fresh_loss(self._model, perturbations)
+
+
+@pytest.mark.parametrize("same_layer_cross", [False, True])
+def test_toy_build_matrix_matches_a_fresh_oracle_per_call(small_toy, same_layer_cross):
+    oracle = ToyClassifierOracle(small_toy, eval_count=32)
+    menu = BitMenu((2, 4, 8))
+    table = layer_perturbations(oracle.layers, menu)
+    reused = build_matrix(oracle, menu, deltas=table,
+                          include_same_layer_cross=same_layer_cross)
+    fresh = build_matrix(_FreshOraclePerCall(oracle), menu, deltas=table,
+                         include_same_layer_cross=same_layer_cross)
+    assert reused.entries.tobytes() == fresh.entries.tobytes()
+
+
+def test_toy_build_matrix_resumes_from_shared_prefixes(small_toy, monkeypatch):
+    oracle = ToyClassifierOracle(small_toy, eval_count=32)
+    menu = BitMenu((2, 4, 8))
+    table = layer_perturbations(oracle.layers, menu)
+    steps = []
+    forward = oracles._forward
+
+    def counting(weights, biases, h, start=0):
+        outputs = forward(weights, biases, h, start)
+        steps.append(len(outputs) - 1)
+        return outputs
+
+    monkeypatch.setattr(oracles, "_forward", counting)
+    build_matrix(oracle, menu, deltas=table)
+    assert len(steps) == 1 + 4 * 3 + 6 * 3 * 3
+    # Full passes would run all 3 hidden layers in each of the 67 calls: 201.
+    assert sum(steps) == 75
 
 
 # ---------------------------------------------------------------------------
