@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._files import write_atomic
-from .quantizer import LayerSpec
+from .quantizer import LayerSpec, _read_only
 from .spectra import _require_finite
 
 __all__ = [
@@ -102,6 +102,10 @@ class QuadraticOracle(LossOracle):
     ``evaluate`` touches only the rows of ``H`` that belong to perturbed
     layers: ``O(sum_k n_k * dim)`` a call, so measuring a single layer or
     a pair does not stream the whole ``dim x dim`` matrix.
+
+    The oracle takes ``h`` and ``optimum`` over without copying them: a
+    caller's float64 arrays, and any arrays they are views of, become
+    read-only, so a later write cannot change ``evaluate`` or the layers.
     """
 
     def __init__(self, h, optimum, layer_sizes, *, baseline: float = 0.0,
@@ -111,13 +115,14 @@ class QuadraticOracle(LossOracle):
         h = np.asarray(h, dtype=np.float64)
         if h.shape != (dim, dim):
             raise ValueError(f"curvature must have shape {(dim, dim)}, got {h.shape}")
-        optimum = np.asarray(optimum, dtype=np.float64).ravel()
+        optimum = np.asarray(optimum, dtype=np.float64)
         if optimum.size != dim:
             raise ValueError(f"optimum must have {dim} elements, got {optimum.size}")
         _require_finite(h, "curvature")
-        _require_finite(optimum, "optimum")
+        _require_finite(optimum.ravel(), "optimum")
         if not np.array_equal(h, h.T):
             raise ValueError("curvature matrix must be exactly symmetric")
+        h, optimum = _read_only(h), _read_only(optimum).ravel()
         self._h = h
         ends = itertools.accumulate(sizes)
         self._rows = [slice(end - size, end) for size, end in zip(sizes, ends)]
@@ -208,9 +213,8 @@ class ToyModel:
 
     def __post_init__(self):
         for name in ("weights", "biases"):
-            arrays = tuple(np.asarray(a, dtype=np.float64) for a in getattr(self, name))
-            for arr in arrays:
-                arr.setflags(write=False)
+            arrays = tuple(_read_only(np.asarray(a, dtype=np.float64))
+                           for a in getattr(self, name))
             object.__setattr__(self, name, arrays)
 
 

@@ -107,9 +107,6 @@ class SensitivityMatrix:
     def dim(self) -> int:
         return len(self.menu) * self.num_layers
 
-    def flat_index(self, layer: int, menu_pos: int) -> int:
-        return layer * len(self.menu) + menu_pos
-
     def with_entries(self, entries) -> "SensitivityMatrix":
         """Same menu, sizes and sample count with replaced entries."""
         return SensitivityMatrix(self.menu, self.layer_sizes, entries, self.sample_count)

@@ -124,10 +124,6 @@ class SizeBudget:
     def from_megabytes(cls, megabytes: float) -> "SizeBudget":
         return cls(int(math.floor(megabytes * BITS_PER_MB)))
 
-    @property
-    def megabytes(self) -> float:
-        return self.limit_bits / BITS_PER_MB
-
 
 @dataclass
 class SolveReport:

@@ -9,6 +9,7 @@ positive-semidefinite matrix (Higham, Linear Algebra Appl. 103, 1988).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +35,9 @@ class EigenDecomposition:
 
 def _require_finite(a: np.ndarray, what: str) -> None:
     """Reject NaN and infinite values, naming the first one in row-major order."""
+    # A finite sum proves every entry finite; one that overflows is scanned.
+    if math.isfinite(np.add.reduce(a, axis=None)):
+        return
     bad = np.argwhere(~np.isfinite(a))
     if bad.size:
         where = tuple(int(i) for i in bad[0])

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from mixprec.oracles import QuadraticOracle
+from mixprec.quantizer import LayerSpec, calibrate_scale_mse, perturbation
 from mixprec.sensitivity import BitMenu, SensitivityMatrix, load_matrix, save_matrix
 from mixprec.solver import BitAssignment, SizeBudget, objective, solve_bnb, solve_exhaustive
 from mixprec.spectra import eigh, psd_project
@@ -92,6 +93,30 @@ def test_quadratic_oracle_rejects_non_finite(value):
         QuadraticOracle(curvature, np.zeros(3), [2, 1])
     with pytest.raises(ValueError, match=r"optimum.*non-finite.*\(2\)"):
         QuadraticOracle(np.eye(3), [0.0, 1.0, value], [2, 1])
+
+
+@pytest.mark.parametrize("value", BAD_VALUES + (-np.inf,))
+def test_calibration_rejects_non_finite_weights(value):
+    weights = [1.0, 0.5, value, -0.25, value]
+    with pytest.raises(ValueError, match=r"weights.*non-finite.*\(2\)"):
+        calibrate_scale_mse(weights, 4)
+    with pytest.raises(ValueError, match=r"non-finite.*\(2\)"):
+        perturbation(np.array(weights), 4)
+    # a layer large enough to be screened is checked before it is sorted
+    big = np.ones(4096)
+    big[3000] = value
+    with pytest.raises(ValueError, match=r"non-finite.*\(3000\)"):
+        calibrate_scale_mse(big, 2)
+
+
+@pytest.mark.parametrize("value", BAD_VALUES)
+def test_layer_spec_rejects_non_finite_weights(value):
+    grid = np.zeros((2, 3))
+    grid[1, 0] = value
+    with pytest.raises(ValueError, match=r"layer 'fc'.*non-finite.*\(3\)"):
+        LayerSpec("fc", grid)
+    # a rejected array is not taken over
+    grid[1, 0] = 0.0
 
 
 @pytest.mark.parametrize("text", ("inf", "nan"))

@@ -85,6 +85,9 @@ def test_quadratic_evaluate_reads_only_perturbed_rows():
     q = random_quadratic(4, sizes, 0.7)
     want = q.evaluate({1: [0.5], 3: [0.25, -1.0]})
     starts = np.cumsum([0] + sizes)
+    # The oracle owns its curvature read-only; unlock it to poison the rows
+    # that a call perturbing layers 1 and 3 must never read.
+    q.curvature.setflags(write=True)
     for idx in (0, 2):
         q.curvature[starts[idx]:starts[idx + 1], :] = np.nan
     assert q.evaluate({1: [0.5], 3: [0.25, -1.0]}) == want
@@ -196,6 +199,37 @@ def test_toy_model_arrays_are_read_only(tmp_path):
     with pytest.raises(ValueError):
         oracle.model.weights[0][0, 0] = 1.0
     assert oracle.evaluate({}) == base
+
+
+def test_quadratic_oracle_owns_its_arrays(tmp_path):
+    h = np.array([[2.0, 0.5], [0.5, 1.0]])
+    opt = np.array([1.0, -1.0])
+    q = QuadraticOracle(h, opt, [1, 1])
+    base = q.evaluate({0: [0.25]})
+    # the caller's arrays are taken over read-only, not copied
+    assert q.curvature is h
+    for arr in (h, opt, q.layers[0].weights):
+        with pytest.raises(ValueError):
+            arr[0] = 7.0
+    with pytest.raises(ValueError):
+        h[0, 0] = 5.0
+    assert q.evaluate({0: [0.25]}) == base
+    assert q.layers[0].weights.tolist() == [1.0]
+    # views freeze the array they view; memory of a writable non-array is copied
+    big = np.eye(3)
+    QuadraticOracle(big[:2, :2], np.zeros(2), [2])
+    assert not big.flags.writeable
+    raw = bytearray(np.array([1.0, -1.0]).tobytes())
+    q = QuadraticOracle(np.eye(2), np.frombuffer(raw), [1, 1])
+    raw[:8] = np.array([9.0]).tobytes()
+    assert q.layers[0].weights.tolist() == [1.0]
+    # a loaded oracle views its container's payload, which is frozen too
+    path = tmp_path / "q.bin"
+    save_oracle(random_quadratic(2, [3, 2], 0.5), path)
+    loaded = load_oracle(path)
+    assert loaded.curvature.base is not None
+    with pytest.raises(ValueError):
+        loaded.curvature.base[...] = 0.0
 
 
 @pytest.fixture(scope="module")

@@ -1,4 +1,5 @@
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -56,6 +57,29 @@ def test_layer_spec_validation_and_immutability():
         layer.weights[0] = 9.0
 
 
+def test_layer_spec_owns_its_weights():
+    w = np.array([1.0, 2.0, 3.0])
+    layer = LayerSpec("w", w)
+    assert layer.weights.base is w or layer.weights is w
+    with pytest.raises(ValueError):
+        w[0] = 9.0
+    assert layer.weights.tolist() == [1.0, 2.0, 3.0]
+    # a 2-D caller array is raveled to a view and frozen with it
+    grid = np.arange(4.0).reshape(2, 2)
+    LayerSpec("g", grid)
+    with pytest.raises(ValueError):
+        grid[1, 1] = 0.0
+    # other dtypes are converted to a copy, and the caller keeps writing
+    ints = np.arange(3)
+    layer = LayerSpec("i", ints)
+    ints[0] = 5
+    assert layer.weights.tolist() == [0.0, 1.0, 2.0]
+    # a non-contiguous array is raveled to a copy that is read-only too
+    layer = LayerSpec("s", np.arange(6.0)[::2])
+    with pytest.raises(ValueError):
+        layer.weights[0] = 9.0
+
+
 def test_calibration_all_zero_vector():
     assert calibrate_scale_mse(np.zeros(5), 4) == 1.0
     assert np.array_equal(perturbation(np.zeros(5), 4), np.zeros(5))
@@ -90,12 +114,21 @@ def test_calibration_attains_the_grid_minimum():
             assert chosen <= other
 
 
-def _full_grid_scale(w, bits):
-    """The calibration as one candidate x weight grid, without chunking."""
+def _full_grid_scale(w, bits, block=None):
+    """The calibration as one candidate x weight grid, without chunking.
+
+    ``block`` scores that many candidates at a time to bound the memory of
+    large layers; a row's mean depends only on that row.
+    """
     cands = _candidate_scales(float(np.max(np.abs(w))), bits)
     lo, hi = -(2 ** (bits - 1)), 2 ** (bits - 1) - 1
-    q = np.clip(np.round(w[None, :] / cands[:, None]), lo, hi) * cands[:, None]
-    return float(cands[int(np.argmin(np.mean((q - w[None, :]) ** 2, axis=1)))])
+    step = block or len(cands)
+    mse = []
+    for start in range(0, len(cands), step):
+        c = cands[start:start + step, None]
+        q = np.clip(np.round(w[None, :] / c), lo, hi) * c
+        mse.append(np.mean((q - w[None, :]) ** 2, axis=1))
+    return float(cands[int(np.argmin(np.concatenate(mse)))])
 
 
 @pytest.mark.parametrize("chunk, sizes", [
@@ -117,6 +150,148 @@ def test_chunked_calibration_matches_full_grid(monkeypatch, chunk, sizes):
             coarse = np.round(w * 2.0) / 2.0
             if np.any(coarse):
                 assert calibrate_scale_mse(coarse, bits) == _full_grid_scale(coarse, bits)
+
+
+def _on_edges(w, bits, scale, rng, share=3):
+    """``w`` with every ``share``-th weight moved onto a rounding edge of ``scale``."""
+    lo, hi = -(2 ** (bits - 1)), 2 ** (bits - 1) - 1
+    w = w.copy()
+    w[::share] = (rng.integers(lo, hi, size=w[::share].size) + 0.5) * scale
+    return w
+
+
+@pytest.mark.parametrize("bits", range(2, 13))
+def test_calibration_matches_full_grid_on_both_sides_of_the_screen(bits):
+    rng = np.random.default_rng(100 + bits)
+    screened = 32 * 2 ** bits  # the smallest layer the screen is used on
+    for size in (screened - 1, screened):
+        w = rng.normal(size=size) * float(rng.uniform(0.01, 100.0))
+        cases = [w, np.round(rng.normal(size=size) * 8.0) / 8.0]
+        if bits <= 8:
+            cases.append(rng.standard_t(3, size=size))
+        for case in cases:
+            want = _full_grid_scale(case, bits, block=16)
+            assert calibrate_scale_mse(case, bits) == want
+            # weights exactly on the chosen scale's rounding edges
+            edged = _on_edges(case, bits, want, rng)
+            assert calibrate_scale_mse(edged, bits) == _full_grid_scale(edged, bits, block=16)
+
+
+def _assert_screen_bound_holds(w, bits):
+    """``|approx - n * exact| <= bound`` for every candidate, in exact arithmetic."""
+    cands = _candidate_scales(float(np.max(np.abs(w))), bits)
+    approx, bound = quantizer._screen(np.sort(w), cands, bits)
+    exact = quantizer._exact_mse(w, cands, bits)
+    for a, e, x in zip(approx, bound, exact):
+        assert abs(Fraction(a) - w.size * Fraction(x)) <= Fraction(e)
+    return approx, bound
+
+
+def test_screen_bound_holds_in_exact_arithmetic():
+    rng = np.random.default_rng(41)
+    for size, bits in ((64, 2), (333, 3), (4096, 4), (4096, 8), (20000, 6), (65536, 8),
+                       (8192, 12)):
+        base = rng.normal(size=size)
+        cands = _candidate_scales(float(np.max(np.abs(base))), bits)
+        layers = [
+            base,
+            rng.standard_t(1, size=size),  # Cauchy: a few huge weights
+            np.round(base * 8.0) / 8.0,
+            base * 2.0 ** 190,
+            base * 2.0 ** -380,
+            rng.uniform(1e6, 1e6 + 1.0, size=size),  # far from zero: prefix sums cancel
+            # weights on, and one ulp either side of, the edges of candidates
+            # where the screen and the exact scorer may round differently
+            _on_edges(base, bits, cands[-1], rng, share=2),
+            np.nextafter(_on_edges(base, bits, cands[100], rng, share=1), np.inf),
+            np.nextafter(_on_edges(base, bits, cands[150], rng, share=1), -np.inf),
+        ]
+        for w in layers:
+            _assert_screen_bound_holds(w, bits)
+
+
+def _tied_layer(seed, bits):
+    """A screened layer whose best two candidates tie in real arithmetic.
+
+    One weight is solved for, exactly, so that the two candidates' sums of
+    squared errors agree; only its rounding to float64 and each path's own
+    rounding tell them apart, so a screen that kept just its own minimum
+    would pick the wrong one about half the time.
+    """
+    rng = np.random.default_rng(seed)
+    lo, hi = -(2 ** (bits - 1)), 2 ** (bits - 1) - 1
+    w = rng.normal(size=32 * 2 ** bits)
+    cands = _candidate_scales(float(np.max(np.abs(w))), bits)
+    best = int(np.flatnonzero(cands == _full_grid_scale(w, bits))[0])
+    c1, c2 = cands[best], cands[best + 1 if best + 1 < len(cands) else best - 1]
+    q1, q2 = (np.clip(np.round(w / c), lo, hi) for c in (c1, c2))
+    err1, err2 = (sum((Fraction(x) - int(k) * Fraction(c)) ** 2 for x, k in zip(w, q))
+                  for c, q in ((c1, q1), (c2, q2)))
+    amax = np.max(np.abs(w))
+    for i in np.flatnonzero((q1 * c1 != q2 * c2) & (np.abs(w) < amax)):
+        a1, a2 = int(q1[i]) * Fraction(c1), int(q2[i]) * Fraction(c2)
+        rest1 = err1 - (Fraction(w[i]) - a1) ** 2
+        rest2 = err2 - (Fraction(w[i]) - a2) ** 2
+        # rest1 + (x - a1)^2 == rest2 + (x - a2)^2 is linear in x
+        x = float((a1 + a2) / 2 - (rest1 - rest2) / (2 * (a2 - a1)))
+        if (abs(x) < amax and np.clip(np.round(x / c1), lo, hi) == q1[i]
+                and np.clip(np.round(x / c2), lo, hi) == q2[i]):
+            w[i] = x
+            return w
+    raise AssertionError("no weight can balance the two candidates")
+
+
+@pytest.mark.parametrize("bits", (2, 3))
+def test_screen_resolves_real_ties_exactly(bits):
+    for seed in range(10):
+        w = _tied_layer(seed, bits)
+        assert calibrate_scale_mse(w, bits) == _full_grid_scale(w, bits)
+
+
+def test_screen_keeps_only_near_minimal_candidates(monkeypatch):
+    scored = []
+    exact_mse = quantizer._exact_mse
+
+    def spy(w, cands, bits):
+        scored.append(len(cands))
+        return exact_mse(w, cands, bits)
+
+    monkeypatch.setattr(quantizer, "_exact_mse", spy)
+    w = np.random.default_rng(8).normal(size=65536)
+    for bits in (2, 4, 8):
+        calibrate_scale_mse(w, bits)
+    assert len(scored) == 3 and all(1 <= rows <= 3 for rows in scored)
+    # below the screen's size every candidate goes through the same scorer
+    calibrate_scale_mse(w[:64], 2)
+    assert scored[-1] == len(_candidate_scales(1.0, 2))
+
+
+def test_screen_falls_back_outside_its_proven_range():
+    rng = np.random.default_rng(6)
+    w = rng.normal(size=4096)
+    cands = _candidate_scales(float(np.max(np.abs(w))), 4)
+    assert len(quantizer._survivors(w, cands, 4)) < len(cands)
+    for out in (w * 2.0 ** 201, np.where(np.arange(4096) == 7, 2.0 ** -401, w)):
+        kept = quantizer._survivors(out, _candidate_scales(float(np.max(np.abs(out))), 4), 4)
+        assert len(kept) == len(cands)
+        assert calibrate_scale_mse(out, 4) == _full_grid_scale(out, 4)
+    # zeros are exact in both paths and do not turn the screen off
+    zeros = np.where(np.arange(4096) % 5 == 0, 0.0, w)
+    assert len(quantizer._survivors(zeros, cands, 4)) < len(cands)
+    assert calibrate_scale_mse(zeros, 4) == _full_grid_scale(zeros, 4)
+
+
+def test_screened_calibration_memory():
+    # the screen's sorted copy and prefix sums plus a few exact rows, where
+    # scoring every candidate needs the full 8 MiB chunk buffer
+    w = np.random.default_rng(9).normal(size=65536)
+    tracemalloc.start()
+    try:
+        calibrate_scale_mse(w, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2 ** 20
 
 
 def test_calibration_memory_is_one_chunk_buffer():

@@ -60,7 +60,8 @@ def test_matrix_helpers():
     m = golden_quartet_matrix()
     assert m.num_layers == 4
     assert m.dim == 8
-    assert m.flat_index(2, 1) == 5
+    # layer-major layout: layer 2's 2-bit diagonal sits at row 2 * |B| + 0
+    assert m.entries[2 * 2 + 0, 2 * 2 + 0] == 0.246
     assert m.has_block_zeros()
     replaced = m.with_entries(np.zeros((8, 8)))
     assert replaced.menu.bits == m.menu.bits
@@ -93,8 +94,8 @@ def test_build_matrix_structure():
     assert np.array_equal(m.entries, m.entries.T)
     assert m.has_block_zeros()
     assert m.sample_count == q.sample_count
-    # spot-check one cross entry against the curvature
-    got = m.entries[m.flat_index(0, 1), m.flat_index(2, 0)]
+    # spot-check one cross entry against the curvature: row layer * |B| + position
+    got = m.entries[0 * 3 + 1, 2 * 3 + 0]
     want = _analytic_entry(q, 0, 4, 2, 2)
     assert got == pytest.approx(want, rel=1e-9, abs=1e-14)
 

@@ -82,7 +82,7 @@ def test_assignment_size_arithmetic():
 
 def test_budget_units():
     assert SizeBudget.from_megabytes(1.0).limit_bits == 8 * 2 ** 20
-    assert SizeBudget.from_megabytes(0.5).megabytes == 0.5
+    assert SizeBudget.from_megabytes(0.5).limit_bits == 4 * 2 ** 20
     # fractional bits round down: never admit more than asked
     assert SizeBudget.from_megabytes(1e-6).limit_bits == 8
     with pytest.raises(ValueError):
