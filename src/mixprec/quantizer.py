@@ -201,12 +201,20 @@ def _screen(xs: np.ndarray, cands: np.ndarray, bits: int):
     total = prefix[-1]
     peak = max(prefix.max(), -prefix.min())
     s2 = float(xs @ xs)
-    edges = cands[:, None] * (np.arange(lo, hi) + 0.5)
-    below = np.searchsorted(xs, edges)
-    gain = (prefix[below] - edges * below).sum(axis=1)
+    half = np.arange(lo, hi) + 0.5
+    gain = np.empty(len(cands))
+    crossed = np.empty(len(cands))
+    # The candidate x edge table goes in chunks whose temporaries together
+    # stay within one scoring buffer; up to 8 bits that is a single chunk.
+    rows = max(1, _CALIBRATE_CHUNK // 8 // levels)
+    for start in range(0, len(cands), rows):
+        edges = cands[start:start + rows, None] * half
+        below = np.searchsorted(xs, edges)
+        gain[start:start + rows] = (prefix[below] - edges * below).sum(axis=1)
+        crossed[start:start + rows] = below.sum(axis=1)
     approx = s2 + cands * (n * hi * hi * cands - 2.0 * hi * total + 2.0 * gain)
     magnitude = s2 + cands * (2.0 * (hi * abs(total) + (levels - 1) * peak)
-                              + cands * (n * hi * hi - 2.0 * lo * below.sum(axis=1)))
+                              + cands * (n * hi * hi - 2.0 * lo * crossed))
     first = u * (n * s2 + (levels + 7) * magnitude
                  + cands * n * (6.0 * (hi + levels) * peak + 4.0 * max(-xs[0], xs[-1])))
     scorer = (n + 7) * u

@@ -60,7 +60,7 @@ def test_layer_spec_validation_and_immutability():
 def test_layer_spec_owns_its_weights():
     w = np.array([1.0, 2.0, 3.0])
     layer = LayerSpec("w", w)
-    assert layer.weights.base is w or layer.weights is w
+    assert np.shares_memory(layer.weights, w)
     with pytest.raises(ValueError):
         w[0] = 9.0
     assert layer.weights.tolist() == [1.0, 2.0, 3.0]
@@ -281,17 +281,35 @@ def test_screen_falls_back_outside_its_proven_range():
     assert calibrate_scale_mse(zeros, 4) == _full_grid_scale(zeros, 4)
 
 
-def test_screened_calibration_memory():
-    # the screen's sorted copy and prefix sums plus a few exact rows, where
-    # scoring every candidate needs the full 8 MiB chunk buffer
-    w = np.random.default_rng(9).normal(size=65536)
+@pytest.mark.parametrize("size, bits, mib", [
+    # the sorted copy, its prefix sums and a few exact rows, where scoring
+    # every candidate needs the full 8 MiB chunk buffer
+    (65536, 4, 4),
+    # 202 x 4,095 edges go in chunks that stay within one chunk buffer
+    (131072, 12, 8),
+])
+def test_screened_calibration_memory(size, bits, mib):
+    w = np.random.default_rng(9).normal(size=size)
     tracemalloc.start()
     try:
-        calibrate_scale_mse(w, 4)
+        calibrate_scale_mse(w, bits)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 4 * 2 ** 20
+    assert peak <= mib * 2 ** 20
+
+
+def test_unscreened_calibration_memory_is_one_chunk_buffer():
+    # at 12 bits a 65,536-weight layer is below the screen's size, so all
+    # 202 candidates go through the 8 MiB chunk buffer
+    w = np.random.default_rng(10).normal(size=65536)
+    tracemalloc.start()
+    try:
+        calibrate_scale_mse(w, 12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 8 * 2 ** 20 <= peak <= 12 * 2 ** 20
 
 
 def test_calibration_memory_is_one_chunk_buffer():
