@@ -115,10 +115,11 @@ def test_calibration_attains_the_grid_minimum():
 
 
 def _full_grid_scale(w, bits, block=None):
-    """The calibration as one candidate x weight grid, without chunking.
+    """The calibration as a candidate x weight grid of plain expressions.
 
-    ``block`` scores that many candidates at a time to bound the memory of
-    large layers; a row's mean depends only on that row.
+    By default the grid is one array; ``block`` scores that many candidates
+    at a time to bound the memory of large layers, and since a row's mean
+    depends only on that row the choice is the same.
     """
     cands = _candidate_scales(float(np.max(np.abs(w))), bits)
     lo, hi = -(2 ** (bits - 1)), 2 ** (bits - 1) - 1
@@ -184,7 +185,6 @@ def _assert_screen_bound_holds(w, bits):
     exact = quantizer._exact_mse(w, cands, bits)
     for a, e, x in zip(approx, bound, exact):
         assert abs(Fraction(a) - w.size * Fraction(x)) <= Fraction(e)
-    return approx, bound
 
 
 def test_screen_bound_holds_in_exact_arithmetic():
