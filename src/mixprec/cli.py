@@ -150,7 +150,8 @@ def _budget(args) -> SizeBudget:
 def _solver_options(args, method: str) -> dict:
     if method == "exhaustive":
         return {}
-    return {"node_limit": args.node_limit, "time_limit": args.time_limit}
+    options = {"node_limit": args.node_limit, "time_limit": args.time_limit}
+    return {name: value for name, value in options.items() if value is not None}
 
 
 def _csv_row(report: SolveReport, timing: bool) -> list[str]:
@@ -352,7 +353,7 @@ def _add_cache_arg(parser) -> None:
 def _add_solver_args(parser) -> None:
     parser.add_argument("--no-psd", action="store_true",
                         help="skip the PSD projection and solve the raw matrix")
-    parser.add_argument("--node-limit", type=int, default=1_000_000)
+    parser.add_argument("--node-limit", type=int, default=None)
     parser.add_argument("--time-limit", type=float, default=None,
                         help="per-solve wall-clock limit in seconds")
     parser.add_argument("--record-timing", action="store_true",

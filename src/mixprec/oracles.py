@@ -37,6 +37,7 @@ import numpy as np
 
 from ._files import write_atomic
 from .quantizer import LayerSpec, _read_only
+from .sensitivity import _mask_couplings
 from .spectra import _require_finite
 
 __all__ = [
@@ -187,11 +188,7 @@ def random_quadratic(seed: int, layer_sizes, rho: float, *,
     rows = max(1, round(sample_ratio * dim))
     samples = rng.normal(size=(rows, dim))
     full = samples.T @ samples / float(rows)
-    blocky = np.zeros_like(full)
-    offsets = np.concatenate([[0], np.cumsum(sizes)])
-    for i in range(len(sizes)):
-        sl = slice(offsets[i], offsets[i + 1])
-        blocky[sl, sl] = full[sl, sl]
+    blocky = _mask_couplings(full, np.repeat(np.arange(len(sizes)), sizes))
     h = blocky + rho * (full - blocky)
     optimum = rng.normal(size=dim) * weight_scale
     return QuadraticOracle(h, optimum, sizes, sample_count=sample_count)

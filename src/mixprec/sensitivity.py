@@ -70,6 +70,12 @@ class BitMenu:
             raise ValueError(f"bit-width {bit} is not in the menu {self.bits}") from None
 
 
+def _mask_couplings(entries, group) -> np.ndarray:
+    """Zero every entry whose row and column flat indices lie in different
+    groups; masked entries become +0.0 whatever their sign."""
+    return np.where(group[:, None] == group[None, :], entries, 0.0)
+
+
 @dataclass(frozen=True)
 class SensitivityMatrix:
     """Symmetric ``|B|L x |B|L`` sensitivity entries plus their provenance."""
@@ -80,7 +86,7 @@ class SensitivityMatrix:
     sample_count: int
 
     def __post_init__(self):
-        menu = self.menu if isinstance(self.menu, BitMenu) else BitMenu(self.menu)
+        menu = BitMenu(self.menu)
         sizes = tuple(int(s) for s in self.layer_sizes)
         if not sizes or any(s < 1 for s in sizes):
             raise ValueError(f"layer sizes must be positive, got {sizes}")
@@ -113,12 +119,9 @@ class SensitivityMatrix:
 
     def has_block_zeros(self) -> bool:
         """True when every same-layer cross-bit entry is exactly zero."""
-        nb = len(self.menu)
-        for i in range(self.num_layers):
-            block = self.entries[i * nb:(i + 1) * nb, i * nb:(i + 1) * nb]
-            if np.any(block[~np.eye(nb, dtype=bool)] != 0.0):
-                return False
-        return True
+        layer = np.repeat(np.arange(self.num_layers), len(self.menu))
+        return np.array_equal(_mask_couplings(self.entries, layer),
+                              _mask_couplings(self.entries, np.arange(self.dim)))
 
 
 def layer_perturbations(layers, menu) -> list[list[np.ndarray]]:
@@ -128,7 +131,7 @@ def layer_perturbations(layers, menu) -> list[list[np.ndarray]]:
     sorted menu.  The values depend only on the weights and the menu, so
     one table serves every evaluation batch of the same model.
     """
-    menu = menu if isinstance(menu, BitMenu) else BitMenu(menu)
+    menu = BitMenu(menu)
     return [[perturbation(layer, b) for b in menu] for layer in layers]
 
 
@@ -167,7 +170,7 @@ def build_matrix(oracle, menu, *, include_same_layer_cross: bool = False,
     of one model need to calibrate only once.  Without it the table is
     computed here.
     """
-    menu = menu if isinstance(menu, BitMenu) else BitMenu(menu)
+    menu = BitMenu(menu)
     layers = oracle.layers
     num_layers = len(layers)
     if num_layers < 1:

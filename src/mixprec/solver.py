@@ -5,11 +5,14 @@ quadratic form of the sensitivity matrix over the induced one-hot
 selection vector, subject to ``sum(layer_size * bits) <= budget``.
 
 ``solve_exhaustive`` enumerates every assignment (an oracle for small
-search spaces).  ``solve_bnb`` is an exact depth-first branch-and-bound:
-lower bounds come from a Frank-Wolfe solve of the continuous relaxation
-over the product of per-layer simplices cut by the budget half-space,
-whose linear subproblem is a multiple-choice-knapsack LP solved greedily
-on per-layer convex hulls.  Bounds come from a convexified matrix in
+search spaces).  ``solve_bnb`` is an exact depth-first branch-and-bound.
+A node is one int vector ``fixed`` holding each layer's menu position,
+or -1 for a free layer: the root frees every layer, and a child copies
+its parent with one more layer fixed.  Lower bounds come from a
+Frank-Wolfe solve of the continuous relaxation over the free layers'
+simplices cut by the budget half-space, whose linear subproblem is a
+multiple-choice-knapsack LP solved greedily on the free layers' convex
+hulls.  Bounds come from a convexified matrix in
 the manner of the quadratic convex reformulation (Hammer & Rubin, RAIRO
 1970; Billionnet & Elloumi, Math. Program. 109, 2007): the largest
 diagonal ``a``, proportional to ``diag(G)``, that leaves ``G - diag(a)``
@@ -36,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sensitivity import BitMenu, SensitivityMatrix
+from .sensitivity import BitMenu, SensitivityMatrix, _mask_couplings
 from .spectra import _psd_shift, _require_symmetric
 
 __all__ = [
@@ -161,14 +164,13 @@ def _problem(g, sizes, menu):
         if sizes is not None and tuple(int(s) for s in sizes) != g.layer_sizes:
             raise ValueError("explicit layer sizes disagree with the matrix metadata")
         if menu is not None:
-            menu = menu if isinstance(menu, BitMenu) else BitMenu(menu)
-            if menu.bits != g.menu.bits:
+            if BitMenu(menu).bits != g.menu.bits:
                 raise ValueError("explicit bit menu disagrees with the matrix metadata")
         return g.entries, g.layer_sizes, g.menu
     entries = np.asarray(g, dtype=np.float64)
     if sizes is None or menu is None:
         raise ValueError("layer sizes and a bit menu are required with a raw entries array")
-    menu = menu if isinstance(menu, BitMenu) else BitMenu(menu)
+    menu = BitMenu(menu)
     sizes = tuple(int(s) for s in sizes)
     if not sizes:
         raise ValueError("layer sizes must cover at least one layer")
@@ -210,20 +212,32 @@ def _exact_key(entries, menu_bits, wmat, pos):
     return (_quadratic_form(entries, [l * nb + p for l, p in enumerate(pos)]), size, bits)
 
 
-def _enumerate_domains(entries, menu_bits, wmat, domains, limit):
-    """Best (key, pos) over a restricted search box, or None if all infeasible.
+def _size_table(layer_sizes, menu_bits, limit) -> np.ndarray:
+    """Bits of every (layer, menu position); raises when even the smallest
+    model exceeds ``limit``."""
+    wmat = np.array([[s * b for b in menu_bits] for s in layer_sizes], dtype=np.int64)
+    min_total = int(wmat[:, 0].sum())
+    if min_total > limit:
+        raise InfeasibleBudgetError(
+            f"smallest model needs {min_total} bits, budget is {limit}")
+    return wmat
 
+
+def _enumerate_node(entries, menu_bits, wmat, fixed, limit):
+    """Best exact key over a node's assignments, or None if all infeasible.
+
+    ``fixed`` holds each layer's menu position, or -1 for a free layer;
+    rows run over the free layers' positions in lexicographic order.
     Each chunk gathers the ``L x L`` entries of every feasible row once.
     Their float sum preselects the near-minimal rows; rows whose gathered
     entries and size are byte-identical share their exact key up to the
     bit vector, so only the first of them in lexicographic order is
     re-scored exactly with fsum.
     """
-    num_layers = len(domains)
+    num_layers = len(fixed)
     layers = np.arange(num_layers)
-    shape = tuple(map(len, domains))
-    choices = np.concatenate(domains)
-    starts = np.cumsum((0,) + shape[:-1])
+    free = fixed < 0
+    shape = tuple(np.where(free, len(menu_bits), 1).tolist())
     offsets = layers * len(menu_bits)
     total = math.prod(shape)
     chunk = max(1, _ENUM_TERMS // num_layers ** 2)
@@ -231,7 +245,7 @@ def _enumerate_domains(entries, menu_bits, wmat, domains, limit):
     best = None
     for start in range(0, total, chunk):
         index = np.arange(start, min(start + chunk, total))
-        pos = choices[starts + np.stack(np.unravel_index(index, shape), axis=1)]
+        pos = np.where(free, np.stack(np.unravel_index(index, shape), axis=1), fixed)
         size = wmat[layers, pos].sum(axis=1)
         feas = size <= limit
         if not feas.any():
@@ -246,10 +260,9 @@ def _enumerate_domains(entries, menu_bits, wmat, domains, limit):
             if mark in seen:
                 continue
             seen.add(mark)
-            pos_t = tuple(pos[row].tolist())
-            key = _exact_key(entries, menu_bits, wmat, pos_t)
-            if best is None or key < best[0]:
-                best = (key, pos_t)
+            key = _exact_key(entries, menu_bits, wmat, tuple(pos[row].tolist()))
+            if best is None or key < best:
+                best = key
     return best
 
 
@@ -260,46 +273,51 @@ def solve_exhaustive(g, sizes=None, menu=None, budget=None) -> SolveReport:
     """
     entries, layer_sizes, menu = _problem(g, sizes, menu)
     budget = _as_budget(budget)
-    menu_bits = menu.bits
     num_layers = len(layer_sizes)
-    nb = len(menu_bits)
+    nb = len(menu)
     total = nb ** num_layers
     if total > EXHAUSTIVE_LIMIT:
         raise SearchSpaceError(
             f"{nb}**{num_layers} assignments exceed the enumeration limit {EXHAUSTIVE_LIMIT}")
-    wmat = np.array([[s * b for b in menu_bits] for s in layer_sizes], dtype=np.int64)
-    min_total = int(wmat[:, 0].sum())
-    if min_total > budget.limit_bits:
-        raise InfeasibleBudgetError(
-            f"smallest model needs {min_total} bits, budget is {budget.limit_bits}")
-    domains = tuple(tuple(range(nb)) for _ in range(num_layers))
-    key, _pos = _enumerate_domains(entries, menu_bits, wmat, domains, budget.limit_bits)
+    wmat = _size_table(layer_sizes, menu.bits, budget.limit_bits)
+    key = _enumerate_node(entries, menu.bits, wmat, np.full(num_layers, -1), budget.limit_bits)
     return SolveReport(method="exhaustive", status="optimal",
                        assignment=BitAssignment(key[2]), objective=key[0],
                        size_bits=key[1], proved=True, nodes=total,
                        budget_bits=budget.limit_bits)
 
 
-def _lmo(cost, domains, wmat, limit):
-    """Minimize a linear cost over the relaxation polytope.
+def _node_start(fixed, wmat, limit):
+    """A node's smallest point (one-hot at each fixed position and at each
+    free layer's position 0), its free layers and the budget left there."""
+    num_layers, nb = wmat.shape
+    layers = np.arange(num_layers)
+    low = np.maximum(fixed, 0)
+    start = np.zeros((num_layers, nb))
+    start[layers, low] = 1.0
+    return start, np.flatnonzero(fixed < 0), float(limit - wmat[layers, low].sum())
 
-    Classic multiple-choice-knapsack LP greedy: per layer, keep the
-    lower convex hull of (size, cost) points; start every layer at its
-    smallest size; then buy hull segments globally in slope order until
-    the budget runs out.  At most one layer ends up fractional.
+
+def _lmo(cost, start, free, wmat, rem):
+    """Minimize a linear cost over a node's relaxation polytope.
+
+    ``start``, ``free`` and ``rem`` come from ``_node_start``; the fixed
+    layers keep their rows of ``start``.  Classic multiple-choice-knapsack
+    LP greedy: per free layer, keep the lower convex hull of (size, cost)
+    points; then buy hull segments globally in slope order until the
+    budget runs out.  At most one layer ends up fractional.
     """
-    num_layers = len(domains)
-    x = np.zeros_like(cost)
-    hulls = []
-    base = 0
-    for l, dom in enumerate(domains):
-        pts = [(int(wmat[l, m]), float(cost[l, m]), m) for m in dom]
-        eff = [pts[0]]
-        for wgt, c, m in pts[1:]:
-            if c < eff[-1][1]:
-                eff.append((wgt, c, m))
-        hull = []
-        for pt in eff:
+    x = start.copy()
+    hulls = {}
+    segments = []
+    for l, sizes, costs in zip(free.tolist(), wmat[free].tolist(), cost[free].tolist()):
+        hull = [(sizes[0], costs[0], 0)]
+        low = costs[0]
+        for m in range(1, len(costs)):
+            pt = (sizes[m], costs[m], m)
+            if pt[1] >= low:
+                continue
+            low = pt[1]
             while len(hull) >= 2:
                 w1, c1, _ = hull[-2]
                 w2, c2, _ = hull[-1]
@@ -308,20 +326,13 @@ def _lmo(cost, domains, wmat, limit):
                 else:
                     break
             hull.append(pt)
-        hulls.append(hull)
-        base += hull[0][0]
-        x[l, hull[0][2]] = 1.0
-    rem = float(limit - base)
-    if rem < 0:
-        raise InfeasibleBudgetError("linear subproblem called on an infeasible node")
-    segments = []
-    for l, hull in enumerate(hulls):
+        hulls[l] = hull
         for k in range(len(hull) - 1):
             w1, c1, _ = hull[k]
             w2, c2, _ = hull[k + 1]
             segments.append(((c2 - c1) / (w2 - w1), l, k))
     segments.sort()
-    taken = [0] * num_layers
+    taken = dict.fromkeys(hulls, 0)
     for slope, l, k in segments:
         if rem <= 0.0 or slope >= 0.0:
             break
@@ -344,8 +355,12 @@ def _lmo(cost, domains, wmat, limit):
     return x
 
 
-def _frank_wolfe(entries, domains, wmat, limit, tol, max_iter, stop_lb=None):
-    """Minimize ``x' G x`` over the relaxation; returns the best dual bound seen.
+def _frank_wolfe(entries, fixed, wmat, limit, tol, max_iter, stop_lb=None):
+    """Minimize ``x' G x`` over a node's relaxation; returns the best dual bound seen.
+
+    ``fixed`` holds each layer's menu position, or -1 for a free layer,
+    whose row ranges over its simplex.  ``_node_start`` runs once, and
+    every ``_lmo`` call reuses its start point, free layers and budget.
 
     Each ``f - gap`` is a valid lower bound when ``x' G x`` is convex along
     every direction that keeps each layer's simplex sum, as it is for the
@@ -357,12 +372,9 @@ def _frank_wolfe(entries, domains, wmat, limit, tol, max_iter, stop_lb=None):
     small or the bound stops improving; the rate is sublinear on singular
     matrices, so chasing the gap itself can be hopeless.
     """
-    num_layers = len(domains)
-    nb = wmat.shape[1]
-    x = np.zeros((num_layers, nb))
-    for l, dom in enumerate(domains):
-        x[l, dom[0]] = 1.0
-    xf = x.ravel()
+    start, free, rem = _node_start(fixed, wmat, limit)
+    num_layers, nb = start.shape
+    xf = start.ravel()
     gx = entries @ xf
     f = float(xf @ gx)
     best_lb = -math.inf
@@ -372,7 +384,7 @@ def _frank_wolfe(entries, domains, wmat, limit, tol, max_iter, stop_lb=None):
     for it in range(max_iter):
         iters = it + 1
         grad = 2.0 * gx
-        v = _lmo(grad.reshape(num_layers, nb), domains, wmat, limit).ravel()
+        v = _lmo(grad.reshape(num_layers, nb), start, free, wmat, rem).ravel()
         gap = float(grad @ (xf - v))
         if gap < 0.0:
             gap = 0.0
@@ -429,8 +441,7 @@ def _convexify(entries, nb):
     a = t * w
     bounded = entries - np.diag(a)
     s = _psd_shift(bounded)
-    layer = np.arange(len(entries)) // nb
-    bounded += np.where(layer[:, None] == layer[None, :], 0.5 * (a[:, None] + a[None, :]), 0.0)
+    bounded += _mask_couplings(0.5 * (a[:, None] + a[None, :]), np.arange(len(entries)) // nb)
     bounded[np.diag_indices_from(bounded)] += s
     return bounded, s, -t
 
@@ -442,16 +453,11 @@ def _bnb_core(entries, layer_sizes, menu, budget, method, *,
     menu_bits = menu.bits
     num_layers = len(layer_sizes)
     nb = len(menu_bits)
-    wmat = np.array([[s * b for b in menu_bits] for s in layer_sizes], dtype=np.int64)
     limit = budget.limit_bits
-    min_total = int(wmat[:, 0].sum())
-    if min_total > limit:
-        raise InfeasibleBudgetError(
-            f"smallest model needs {min_total} bits, budget is {limit}")
-    inc_pos = (0,) * num_layers
-    inc_key = _exact_key(entries, menu_bits, wmat, inc_pos)
-    root = tuple(tuple(range(nb)) for _ in range(num_layers))
-    stack = [root]
+    wmat = _size_table(layer_sizes, menu_bits, limit)
+    layers = np.arange(num_layers)
+    inc_key = _exact_key(entries, menu_bits, wmat, (0,) * num_layers)
+    stack = [np.full(num_layers, -1)]
     nodes = 0
     fw_total = 0
     # Bounds and cut see _convexify's matrix, built at the first node that
@@ -464,41 +470,35 @@ def _bnb_core(entries, layer_sizes, menu, budget, method, *,
         if nodes >= node_limit or (deadline is not None and time.monotonic() > deadline):
             limited = True
             break
-        domains = stack.pop()
+        fixed = stack.pop()
         nodes += 1
-        node_min = sum(int(wmat[l, dom[0]]) for l, dom in enumerate(domains))
-        if node_min > limit:
+        free = fixed < 0
+        if wmat[layers, np.maximum(fixed, 0)].sum() > limit:
             continue
-        product = 1
-        for dom in domains:
-            product *= len(dom)
-        if product <= SUBCUBE_LIMIT:
-            best = _enumerate_domains(entries, menu_bits, wmat, domains, limit)
-            if best is not None and best[0] < inc_key:
-                inc_key, inc_pos = best
+        # SUBCUBE_LIMIT >= 1, so a node with no free layer is enumerated.
+        if nb ** int(np.count_nonzero(free)) <= SUBCUBE_LIMIT:
+            best = _enumerate_node(entries, menu_bits, wmat, fixed, limit)
+            if best is not None and best < inc_key:
+                inc_key = best
             continue
         if bounded is None:
             bounded, offset, shift = _convexify(entries, nb)
         target = inc_key[0] + offset * num_layers
         cut = target + _PRUNE_SAFETY * max(1.0, abs(target))
         x, f, gap, iters, lb = _frank_wolfe(
-            bounded, domains, wmat, limit, FW_TOL, FW_MAX_ITER, stop_lb=cut)
+            bounded, fixed, wmat, limit, FW_TOL, FW_MAX_ITER, stop_lb=cut)
         fw_total += iters
         if lb >= cut:
             continue
-        rounded = tuple(dom[int(np.argmax(x[l, list(dom)]))] for l, dom in enumerate(domains))
-        if sum(int(wmat[l, p]) for l, p in enumerate(rounded)) <= limit:
-            key = _exact_key(entries, menu_bits, wmat, rounded)
+        rounded = np.where(free, x.argmax(1), fixed)
+        if wmat[layers, rounded].sum() <= limit:
+            key = _exact_key(entries, menu_bits, wmat, tuple(rounded.tolist()))
             if key < inc_key:
-                inc_key, inc_pos = key, rounded
-        fracs = [1.0 - float(np.max(x[l, list(dom)])) if len(dom) > 1 else -1.0
-                 for l, dom in enumerate(domains)]
-        branch_layer = int(np.argmax(fracs))
-        children = sorted(domains[branch_layer],
-                          key=lambda m: (-float(x[branch_layer, m]), m))
-        for m in reversed(children):
-            child = tuple((m,) if l == branch_layer else dom
-                          for l, dom in enumerate(domains))
+                inc_key = key
+        branch = int(np.argmax(np.where(free, 1.0 - x.max(1), -1.0)))
+        for m in reversed(sorted(range(nb), key=lambda m: (-x[branch, m], m))):
+            child = fixed.copy()
+            child[branch] = m
             stack.append(child)
     proved = not limited
     return SolveReport(method=method, status="optimal" if proved else "incumbent",
@@ -522,12 +522,6 @@ def solve_bnb(g, sizes=None, menu=None, budget=None, **options) -> SolveReport:
     """
     entries, layer_sizes, menu = _problem(g, sizes, menu)
     return _bnb_core(entries, layer_sizes, menu, _as_budget(budget), "full", **options)
-
-
-def _mask_couplings(entries, group) -> np.ndarray:
-    """Zero every entry whose row and column flat indices lie in different
-    groups; masked entries become +0.0 whatever their sign."""
-    return np.where(group[:, None] == group[None, :], entries, 0.0)
 
 
 def solve_diagonal_only(g, sizes=None, menu=None, budget=None, **options) -> SolveReport:

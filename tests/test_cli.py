@@ -10,7 +10,7 @@ from mixprec.cli import BITS_PER_MB, CSV_COLUMNS
 from mixprec.oracles import load_oracle
 from mixprec.quantizer import LayerSpec
 from mixprec.sensitivity import load_matrix
-from mixprec.solver import solve_exhaustive
+from mixprec.solver import solve_exhaustive, solve_with_method
 
 from helpers import (
     GOLDEN_QUARTET_BUDGET_BITS,
@@ -160,6 +160,25 @@ def test_solve_reports_and_csv(quad_setup, tmp_path):
     assert row["seconds"] == ""
     assert float(row["budget_mb"]) == 45 / BITS_PER_MB
     assert float(row["objective"]) == float(kv["objective"])
+
+
+def test_solve_passes_only_the_limits_the_user_set(quad_setup, monkeypatch):
+    _, cache = quad_setup
+    seen = []
+
+    def spy(method, *args, **options):
+        seen.append(options)
+        return solve_with_method(method, *args, **options)
+
+    monkeypatch.setattr(cli, "solve_with_method", spy)
+    code, _, _ = run_cli("solve", "--cache-dir", str(cache), "--budget-bits", "45")
+    assert code == 0
+    # the solver's own node_limit default applies
+    assert seen[-1] == {"block_partition": None}
+    code, _, _ = run_cli("solve", "--cache-dir", str(cache), "--budget-bits", "45",
+                         "--node-limit", "50", "--time-limit", "9")
+    assert code == 0
+    assert seen[-1] == {"block_partition": None, "node_limit": 50, "time_limit": 9.0}
 
 
 def test_solve_budget_in_megabytes(quad_setup):

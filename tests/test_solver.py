@@ -26,6 +26,7 @@ from mixprec.solver import (
     _frank_wolfe,
     _lmo,
     _mask_couplings,
+    _node_start,
     _partition_groups,
     _quadratic_form,
 )
@@ -345,23 +346,25 @@ def test_block_partition_validation():
 # ---------------------------------------------------------------------------
 # relaxation machinery
 
-def _relaxation_lp(cost, domains, wmat, limit):
-    """Reference LP solution via scipy linprog over the same polytope."""
+def _relaxation_lp(cost, fixed, wmat, limit):
+    """Reference LP solution via scipy linprog over the node's polytope."""
     num_layers, nb = cost.shape
     n = num_layers * nb
     a_eq = np.zeros((num_layers, n))
     for l in range(num_layers):
         a_eq[l, l * nb:(l + 1) * nb] = 1.0
-    bounds = []
-    for l in range(num_layers):
-        dom = domains[l]
-        for k in range(nb):
-            bounds.append((0.0, 1.0 if k in dom else 0.0))
+    bounds = [(0.0, 1.0 if fixed[l] < 0 or k == fixed[l] else 0.0)
+              for l in range(num_layers) for k in range(nb)]
     res = scipy.optimize.linprog(
         cost.ravel(), A_ub=wmat.ravel()[None, :], b_ub=[limit],
         A_eq=a_eq, b_eq=np.ones(num_layers), bounds=bounds, method="highs")
     assert res.status == 0
     return float(res.fun)
+
+
+def _node_lmo(cost, fixed, wmat, limit):
+    start, free, rem = _node_start(fixed, wmat, limit)
+    return _lmo(cost, start, free, wmat, rem)
 
 
 def test_lmo_matches_reference_lp():
@@ -376,41 +379,54 @@ def test_lmo_matches_reference_lp():
         limit = int(wmat[:, 0].sum() + rng.uniform(0.1, 0.9)
                     * (wmat[:, -1].sum() - wmat[:, 0].sum()))
         cost = rng.normal(size=(L, nb))
-        domains = tuple(tuple(range(nb)) for _ in range(L))
-        x = _lmo(cost, domains, wmat, limit)
+        fixed = np.full(L, -1)
+        x = _node_lmo(cost, fixed, wmat, limit)
         assert np.all(x >= 0.0)
         assert np.allclose(x.sum(axis=1), 1.0, rtol=0, atol=1e-12)
         assert float((x * wmat).sum()) <= limit + 1e-9
         got = float((cost * x).sum())
-        want = _relaxation_lp(cost, domains, wmat, limit)
+        want = _relaxation_lp(cost, fixed, wmat, limit)
         assert got == pytest.approx(want, rel=1e-9, abs=1e-9)
 
 
-def test_lmo_respects_restricted_domains():
-    wmat = np.array([[2, 4, 8], [2, 4, 8]], dtype=np.int64)
-    cost = np.array([[0.0, -1.0, -2.0], [0.0, -1.0, -2.0]])
-    domains = ((0, 2), (1,))
-    x = _lmo(cost, domains, wmat, limit=12)
-    assert x[0, 1] == 0.0
-    assert x[1, 1] == 1.0
-    want = _relaxation_lp(cost, domains, wmat, 12)
+def test_lmo_respects_fixed_layers():
+    wmat = np.array([[2, 4, 8], [2, 4, 8], [2, 4, 8]], dtype=np.int64)
+    cost = np.array([[0.0, -1.0, -2.0]] * 3)
+    fixed = np.array([-1, 1, 0])
+    # 4 bits are left above the node's smallest point: layer 0 moves to
+    # position 1 and then halfway on to position 2
+    x = _node_lmo(cost, fixed, wmat, limit=12)
+    assert x.tolist() == [[0.0, 0.5, 0.5], [0.0, 1.0, 0.0], [1.0, 0.0, 0.0]]
+    want = _relaxation_lp(cost, fixed, wmat, 12)
     assert float((cost * x).sum()) == pytest.approx(want, rel=1e-12, abs=1e-12)
+    rng = np.random.default_rng(3)
+    for trial in range(20):
+        wmat = np.array([[int(s) * b for b in (2, 4, 8)] for s in rng.integers(1, 6, size=5)],
+                        dtype=np.int64)
+        fixed = np.where(rng.random(5) < 0.4, rng.integers(0, 3, size=5), -1)
+        start, free, rem = _node_start(fixed, wmat, 0)
+        limit = int(-rem + rng.uniform(0.0, 1.0) * (wmat[free, -1] - wmat[free, 0]).sum())
+        cost = rng.normal(size=(5, 3))
+        x = _node_lmo(cost, fixed, wmat, limit)
+        fixed_rows = np.flatnonzero(fixed >= 0)
+        assert np.array_equal(x[fixed_rows], start[fixed_rows])
+        want = _relaxation_lp(cost, fixed, wmat, limit)
+        assert float((cost * x).sum()) == pytest.approx(want, rel=1e-9, abs=1e-9)
 
 
 def _relaxation_instance(seed: int):
-    """A 5-layer PSD instance with its root node: (matrix, budget, wmat, domains)."""
+    """A 5-layer PSD instance with its root node: (matrix, budget, wmat, fixed)."""
     m = _instance(seed, [2, 2, 2, 2, 2], (2, 4, 8), rho=0.9)
     wmat = np.array([[s * b for b in m.menu.bits] for s in m.layer_sizes],
                     dtype=np.int64)
-    domains = tuple(tuple(range(3)) for _ in range(5))
-    return m, _mid_budget(m, 0.5), wmat, domains
+    return m, _mid_budget(m, 0.5), wmat, np.full(5, -1)
 
 
 def test_frank_wolfe_bound_is_sound():
     for seed in (1, 4, 9):
-        m, budget, wmat, domains = _relaxation_instance(seed)
+        m, budget, wmat, fixed = _relaxation_instance(seed)
         x, f, gap, iters, lb = _frank_wolfe(
-            m.entries, domains, wmat, budget.limit_bits, 1e-9, 1500)
+            m.entries, fixed, wmat, budget.limit_bits, 1e-9, 1500)
         integer_opt = solve_exhaustive(m, budget=budget).objective
         assert lb <= integer_opt + 1e-9
         assert np.allclose(x.sum(axis=1), 1.0, rtol=0, atol=1e-9)
@@ -419,16 +435,16 @@ def test_frank_wolfe_bound_is_sound():
 def test_frank_wolfe_stops_once_the_primal_value_clears_the_cut():
     # The primal value bounds the relaxation optimum from above, so once it
     # is below the cut no bound at the node can reach the cut.
-    m, budget, wmat, domains = _relaxation_instance(1)
-    start = _quadratic_form(m.entries, [l * 3 + dom[0] for l, dom in enumerate(domains)])
+    m, budget, wmat, fixed = _relaxation_instance(1)
+    start = _quadratic_form(m.entries, [l * 3 for l in range(5)])
     stop_lb = start + 1.0
     _, f, _, iters, lb = _frank_wolfe(
-        m.entries, domains, wmat, budget.limit_bits, 1e-9, 1500, stop_lb=stop_lb)
+        m.entries, fixed, wmat, budget.limit_bits, 1e-9, 1500, stop_lb=stop_lb)
     assert iters == 1
     assert f < stop_lb
     assert lb < stop_lb
     _, _, _, iters, _ = _frank_wolfe(
-        m.entries, domains, wmat, budget.limit_bits, 1e-9, 1500)
+        m.entries, fixed, wmat, budget.limit_bits, 1e-9, 1500)
     assert iters > 1
 
 
@@ -532,6 +548,44 @@ def test_sixteen_layer_search_is_proved_within_300_nodes():
     report = solve_bnb(m, budget=SizeBudget(5120), node_limit=300)
     assert report.proved
     assert report.assignment.bits == (4, 4, 8, 4, 4, 4, 4, 8, 4, 4, 4, 8, 4, 4, 4, 8)
+
+
+# noisy_instance searches with every node of more than 4 assignments
+# bounded: (seed, bits, objective, nodes, Frank-Wolfe iterations, shift).
+_PINNED_NOISY_SEARCHES = (
+    (0, (8, 4, 8, 8, 4, 4, 4, 8, 8, 4), -0.01129595466304226, 241, 2158, 0.004648990344560456),
+    (1, (4, 4, 4, 4, 4, 4, 8, 8), -0.05815576470689356, 82, 204, 0.015649129122735743),
+    (2, (8, 8, 8, 8, 8, 4, 4, 4, 4, 4), -0.03831826410522124, 391, 1604, 0.008497936617871424),
+    (3, (4, 2, 4, 8, 8, 4, 4, 8, 4, 4), 0.002418730688518837, 619, 2623, 0.0035372238973556407),
+    (4, (4, 8, 4, 4, 4, 4, 4, 4, 4), -0.033682001175886364, 106, 260, 0.013822553309431324),
+    (5, (8, 8, 4, 4, 4, 4, 2, 4, 2), 0.0070251987191696135, 124, 849, 0.003659301783787894),
+    (6, (2, 4, 2, 4, 4, 2, 4, 2), 0.16956835195099057, 190, 475, 0.011186996889874049),
+    (7, (2, 4, 4, 4, 8, 4, 4, 8, 4, 4), 0.012382877058166323, 448, 2852, 0.003933392487453486),
+    (8, (4, 4, 8, 2, 8, 4, 8, 8, 4), -0.012096260062488522, 493, 1623, 0.011249930353152809),
+    (9, (4, 4, 8, 8, 4, 8, 4, 4), -0.10802844979636772, 91, 318, 0.03917878732032194),
+)
+
+
+def _search_summary(report):
+    return (report.assignment.bits, pytest.approx(report.objective, rel=1e-12),
+            report.nodes, report.fw_iterations, pytest.approx(report.shift, rel=1e-9))
+
+
+def test_search_order_is_pinned(monkeypatch):
+    # Any change to the order in which nodes are visited, rounded or
+    # branched on moves these node and iteration counts.
+    m = _instance(1, [64] * 16, (2, 4, 8), rho=0.6)
+    report = solve_bnb(m, budget=SizeBudget(5120))
+    assert report.proved
+    assert _search_summary(report) == (
+        (4, 4, 8, 4, 4, 4, 4, 8, 4, 4, 4, 8, 4, 4, 4, 8), 4.274448556423196,
+        109, 187, -0.8475090453346978)
+    monkeypatch.setattr(solver, "SUBCUBE_LIMIT", 4)
+    for seed, *pinned in _PINNED_NOISY_SEARCHES:
+        m, budget = noisy_instance(seed)
+        report = solve_bnb(m, budget=budget)
+        assert report.proved
+        assert _search_summary(report) == tuple(pinned), seed
 
 
 # ---------------------------------------------------------------------------
