@@ -148,10 +148,11 @@ def _budget(args) -> SizeBudget:
 
 
 def _solver_options(args, method: str) -> dict:
-    if method == "exhaustive":
-        return {}
     options = {"node_limit": args.node_limit, "time_limit": args.time_limit}
-    return {name: value for name, value in options.items() if value is not None}
+    options = {name: value for name, value in options.items() if value is not None}
+    if method == "exhaustive" and options:
+        raise _UsageError("the exhaustive method cannot honour --node-limit or --time-limit")
+    return options
 
 
 def _csv_row(report: SolveReport, timing: bool) -> list[str]:
@@ -309,10 +310,12 @@ def cmd_sweep(args) -> int:
     partition = _parse_partition(args.block_partition) if args.block_partition else None
     if "block" in methods and partition is None:
         raise _UsageError("sweeping the block method requires --block-partition")
+    # Every method's options are checked before the first solve prints a line.
+    options = {method: _solver_options(args, method) for method in methods}
     reports = []
     for method in methods:
         for report in sweep(matrix, budgets=budgets, method=method, block_partition=partition,
-                            **_solver_options(args, method)):
+                            **options[method]):
             reports.append(report)
             print(f"{method} budget_bits={report.budget_bits} status={report.status}")
     _write_csv(args.out, reports, args.record_timing)

@@ -213,6 +213,9 @@ class ToyModel:
             arrays = tuple(_read_only(np.asarray(a, dtype=np.float64))
                            for a in getattr(self, name))
             object.__setattr__(self, name, arrays)
+        # The oracle checks the weights as it builds its layers.
+        for i, bias in enumerate(self.biases):
+            _require_finite(bias, f"bias {i}")
 
 
 def _moons_stream(seed: int, tag: int, start: int, count: int, noise: float):

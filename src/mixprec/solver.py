@@ -174,6 +174,8 @@ def _problem(g, sizes, menu):
     sizes = tuple(int(s) for s in sizes)
     if not sizes:
         raise ValueError("layer sizes must cover at least one layer")
+    if min(sizes) < 1:
+        raise ValueError(f"layer sizes must be positive, got {sizes}")
     dim = len(menu) * len(sizes)
     if entries.shape != (dim, dim):
         raise ValueError(f"entries must have shape {(dim, dim)}, got {entries.shape}")
@@ -287,28 +289,19 @@ def solve_exhaustive(g, sizes=None, menu=None, budget=None) -> SolveReport:
                        budget_bits=budget.limit_bits)
 
 
-def _node_start(fixed, wmat, limit):
-    """A node's smallest point (one-hot at each fixed position and at each
-    free layer's position 0), its free layers and the budget left there."""
-    num_layers, nb = wmat.shape
-    layers = np.arange(num_layers)
-    low = np.maximum(fixed, 0)
-    start = np.zeros((num_layers, nb))
-    start[layers, low] = 1.0
-    return start, np.flatnonzero(fixed < 0), float(limit - wmat[layers, low].sum())
-
-
 def _lmo(cost, start, free, wmat, rem):
     """Minimize a linear cost over a node's relaxation polytope.
 
-    ``start``, ``free`` and ``rem`` come from ``_node_start``; the fixed
-    layers keep their rows of ``start``.  Classic multiple-choice-knapsack
-    LP greedy: per free layer, keep the lower convex hull of (size, cost)
-    points; then buy hull segments globally in slope order until the
-    budget runs out.  At most one layer ends up fractional.
+    ``start`` is the node's smallest point (one-hot at each fixed position
+    and at each free layer's position 0), whose fixed rows the result
+    keeps; ``free`` lists the free layers and ``rem`` the budget left above
+    ``start``.  Multiple-choice-knapsack LP greedy: per free layer, keep the
+    lower convex hull of (size, cost) points, whose slopes are all negative
+    since sizes strictly increase along a row; then buy hull segments in
+    slope order until the budget runs out.  At most one layer ends up
+    fractional.
     """
     x = start.copy()
-    hulls = {}
     segments = []
     for l, sizes, costs in zip(free.tolist(), wmat[free].tolist(), cost[free].tolist()):
         hull = [(sizes[0], costs[0], 0)]
@@ -326,41 +319,31 @@ def _lmo(cost, start, free, wmat, rem):
                 else:
                     break
             hull.append(pt)
-        hulls[l] = hull
         for k in range(len(hull) - 1):
-            w1, c1, _ = hull[k]
-            w2, c2, _ = hull[k + 1]
-            segments.append(((c2 - c1) / (w2 - w1), l, k))
+            w1, c1, m1 = hull[k]
+            w2, c2, m2 = hull[k + 1]
+            span = w2 - w1
+            segments.append(((c2 - c1) / span, l, k, m1, m2, span))
     segments.sort()
-    taken = dict.fromkeys(hulls, 0)
-    for slope, l, k in segments:
-        if rem <= 0.0 or slope >= 0.0:
+    # Hull slopes increase, so this skips a segment only if rounding reorders them.
+    taken = [0] * len(x)
+    for _, l, k, m1, m2, span in segments:
+        if rem <= 0.0:
             break
         if taken[l] != k:
             continue
-        w1, c1, m1 = hulls[l][k]
-        w2, c2, m2 = hulls[l][k + 1]
-        span = float(w2 - w1)
-        if span <= rem:
-            x[l, m1] = 0.0
-            x[l, m2] = 1.0
-            taken[l] = k + 1
-            rem -= span
-        else:
-            frac = rem / span
-            x[l, m1] = 1.0 - frac
-            x[l, m2] = frac
-            rem = 0.0
-            break
+        frac = min(1.0, rem / span)
+        x[l, m1] = 1.0 - frac
+        x[l, m2] = frac
+        taken[l] = k + 1
+        rem -= span
     return x
 
 
-def _frank_wolfe(entries, fixed, wmat, limit, tol, max_iter, stop_lb=None):
-    """Minimize ``x' G x`` over a node's relaxation; returns the best dual bound seen.
-
-    ``fixed`` holds each layer's menu position, or -1 for a free layer,
-    whose row ranges over its simplex.  ``_node_start`` runs once, and
-    every ``_lmo`` call reuses its start point, free layers and budget.
+def _frank_wolfe(entries, start, free, wmat, rem, stop_lb=None):
+    """Minimize ``x' G x`` over a node's relaxation from its smallest point
+    ``start``; returns the last point, the iterations run and the best dual
+    bound seen.  ``start``, ``free`` and ``rem`` are as in ``_lmo``.
 
     Each ``f - gap`` is a valid lower bound when ``x' G x`` is convex along
     every direction that keeps each layer's simplex sum, as it is for the
@@ -368,44 +351,38 @@ def _frank_wolfe(entries, fixed, wmat, limit, tol, max_iter, stop_lb=None):
     cut.  Iteration stops once the bound clears it, or once a step brings
     the primal value ``f`` below it: ``f`` is the objective at a feasible
     point, so it bounds the relaxation optimum from above and no bound can
-    reach the cut any more.  Otherwise iteration stops once the gap is
-    small or the bound stops improving; the rate is sublinear on singular
-    matrices, so chasing the gap itself can be hopeless.
+    reach the cut any more.  Otherwise iteration stops at the relative gap
+    ``FW_TOL``, after ``FW_MAX_ITER`` steps, or once the bound stops
+    improving; the rate is sublinear on singular matrices, so chasing the
+    gap itself can be hopeless.
     """
-    start, free, rem = _node_start(fixed, wmat, limit)
     num_layers, nb = start.shape
     xf = start.ravel()
     gx = entries @ xf
     f = float(xf @ gx)
-    best_lb = -math.inf
-    gap = math.inf
-    iters = 0
-    window_best = -math.inf
-    for it in range(max_iter):
-        iters = it + 1
+    best_lb = window_best = -math.inf
+    for iters in range(1, FW_MAX_ITER + 1):
         grad = 2.0 * gx
         v = _lmo(grad.reshape(num_layers, nb), start, free, wmat, rem).ravel()
         gap = float(grad @ (xf - v))
         if gap < 0.0:
             gap = 0.0
         best_lb = max(best_lb, f - gap)
-        if gap <= tol * max(1.0, abs(f)):
+        if gap <= FW_TOL * max(1.0, abs(f)):
             break
         if stop_lb is not None and best_lb >= stop_lb:
             break
         # Bound progress below the pruning margin's granularity cannot
         # change any prune decision; stop grinding.
-        if (it + 1) % 50 == 0:
+        if iters % 50 == 0:
             if best_lb - window_best < _PRUNE_SAFETY * max(1.0, abs(f)):
                 break
             window_best = best_lb
         d = v - xf
         gd = entries @ d
         dgd = float(d @ gd)
-        xgd = float(gx @ d)
         if dgd > 0.0:
-            gamma = -xgd / dgd
-            gamma = min(1.0, max(0.0, gamma))
+            gamma = min(1.0, max(0.0, -float(gx @ d) / dgd))
         else:
             # Concave along the segment and decreasing at 0: endpoint is best.
             gamma = 1.0
@@ -413,12 +390,12 @@ def _frank_wolfe(entries, fixed, wmat, limit, tol, max_iter, stop_lb=None):
             break
         xf = xf + gamma * d
         gx = gx + gamma * gd
-        if (it + 1) % 64 == 0:
+        if iters % 64 == 0:
             gx = entries @ xf
         f = float(xf @ gx)
         if stop_lb is not None and f < stop_lb:
             break
-    return xf.reshape(num_layers, nb), f, gap, iters, best_lb
+    return xf.reshape(num_layers, nb), iters, best_lb
 
 
 def _convexify(entries, nb):
@@ -464,16 +441,14 @@ def _bnb_core(entries, layer_sizes, menu, budget, method, *,
     # needs a bound; every exact score stays on G.
     bounded = None
     offset = shift = 0.0
-    limited = False
     deadline = None if time_limit is None else time.monotonic() + float(time_limit)
-    while stack:
-        if nodes >= node_limit or (deadline is not None and time.monotonic() > deadline):
-            limited = True
-            break
+    while stack and nodes < node_limit and (deadline is None or time.monotonic() <= deadline):
         fixed = stack.pop()
         nodes += 1
         free = fixed < 0
-        if wmat[layers, np.maximum(fixed, 0)].sum() > limit:
+        low = np.maximum(fixed, 0)
+        rem = limit - int(wmat[layers, low].sum())
+        if rem < 0:
             continue
         # SUBCUBE_LIMIT >= 1, so a node with no free layer is enumerated.
         if nb ** int(np.count_nonzero(free)) <= SUBCUBE_LIMIT:
@@ -485,22 +460,21 @@ def _bnb_core(entries, layer_sizes, menu, budget, method, *,
             bounded, offset, shift = _convexify(entries, nb)
         target = inc_key[0] + offset * num_layers
         cut = target + _PRUNE_SAFETY * max(1.0, abs(target))
-        x, f, gap, iters, lb = _frank_wolfe(
-            bounded, fixed, wmat, limit, FW_TOL, FW_MAX_ITER, stop_lb=cut)
+        x, iters, lb = _frank_wolfe(bounded, np.eye(nb)[low], np.flatnonzero(free), wmat,
+                                    float(rem), stop_lb=cut)
         fw_total += iters
         if lb >= cut:
             continue
         rounded = np.where(free, x.argmax(1), fixed)
         if wmat[layers, rounded].sum() <= limit:
-            key = _exact_key(entries, menu_bits, wmat, tuple(rounded.tolist()))
-            if key < inc_key:
-                inc_key = key
+            inc_key = min(inc_key, _exact_key(entries, menu_bits, wmat, tuple(rounded.tolist())))
         branch = int(np.argmax(np.where(free, 1.0 - x.max(1), -1.0)))
         for m in reversed(sorted(range(nb), key=lambda m: (-x[branch, m], m))):
             child = fixed.copy()
             child[branch] = m
             stack.append(child)
-    proved = not limited
+    # The stack is empty unless a limit stopped the search.
+    proved = not stack
     return SolveReport(method=method, status="optimal" if proved else "incumbent",
                        assignment=BitAssignment(inc_key[2]), objective=inc_key[0],
                        size_bits=inc_key[1], proved=proved, nodes=nodes,

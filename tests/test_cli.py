@@ -181,6 +181,26 @@ def test_solve_passes_only_the_limits_the_user_set(quad_setup, monkeypatch):
     assert seen[-1] == {"block_partition": None, "node_limit": 50, "time_limit": 9.0}
 
 
+def test_exhaustive_rejects_search_limits(quad_setup, tmp_path):
+    # Enumeration ignores both limits, so a proof under them would be false.
+    _, cache = quad_setup
+    for limit in (("--node-limit", "0"), ("--time-limit", "1")):
+        code, out, err = run_cli("solve", "--cache-dir", str(cache), "--budget-bits", "45",
+                                 "--method", "exhaustive", *limit)
+        assert code == 5
+        assert out == ""
+        assert "exhaustive" in err and limit[0] in err
+    # a sweep checks every method before its first solve prints a line
+    out_csv = tmp_path / "sweep.csv"
+    code, out, err = run_cli("sweep", "--cache-dir", str(cache), "--budgets-bits", "20,45",
+                             "--methods", "full,exhaustive", "--time-limit", "1",
+                             "--out", str(out_csv))
+    assert code == 5
+    assert out == ""
+    assert "exhaustive" in err
+    assert not out_csv.exists()
+
+
 def test_solve_budget_in_megabytes(quad_setup):
     _, cache = quad_setup
     code, out, _ = run_cli("solve", "--cache-dir", str(cache),
@@ -348,6 +368,21 @@ def test_import_matrix_validation(tmp_path):
                          "--bits", "2,32", "--sizes", "1,1,1,1",
                          "--cache-dir", str(cache))
     assert code == 4
+
+
+def test_import_matrix_rejects_same_layer_cross_bit_entries(tmp_path):
+    dense = tmp_path / "coupled.txt"
+    cache = tmp_path / "cache"
+    entries = golden_quartet_matrix().entries.copy()
+    assert entries[0, 1] == 0.0
+    entries[0, 1] = entries[1, 0] = 0.5  # layer 0 at 2 bits with layer 0 at 32 bits
+    np.savetxt(dense, entries, fmt="%.17g")
+    code, out, err = run_cli("import-matrix", "--dense", str(dense), "--bits", "2,32",
+                             "--sizes", "1,1,1,1", "--cache-dir", str(cache))
+    assert code == 5
+    assert out == ""
+    assert str(dense) in err and "same-layer cross-bit" in err
+    assert not list(cache.glob("batch-*.txt"))
 
 
 def test_sweep_csv_shape_and_determinism(quad_setup, tmp_path):

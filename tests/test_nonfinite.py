@@ -1,10 +1,12 @@
 """NaN and infinite values are rejected on every path into the pipeline,
 with an error that names the first offending (row, col)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from mixprec.oracles import QuadraticOracle
+from mixprec.oracles import QuadraticOracle, train_toy
 from mixprec.quantizer import LayerSpec, calibrate_scale_mse, perturbation
 from mixprec.sensitivity import BitMenu, SensitivityMatrix, load_matrix, save_matrix
 from mixprec.solver import BitAssignment, SizeBudget, objective, solve_bnb, solve_exhaustive
@@ -93,6 +95,32 @@ def test_quadratic_oracle_rejects_non_finite(value):
         QuadraticOracle(curvature, np.zeros(3), [2, 1])
     with pytest.raises(ValueError, match=r"optimum.*non-finite.*\(2\)"):
         QuadraticOracle(np.eye(3), [0.0, 1.0, value], [2, 1])
+
+
+@pytest.mark.parametrize("value", BAD_VALUES)
+def test_toy_model_rejects_a_non_finite_bias(value):
+    model = train_toy(3, epochs=5, depth=2, hidden=4).model
+    bias = model.biases[1].copy()
+    bias[0] = value
+    with pytest.raises(ValueError, match=r"bias 1 holds a non-finite.*\(0\)"):
+        dataclasses.replace(model, biases=(model.biases[0], bias))
+
+
+def test_measure_names_a_non_finite_bias(tmp_path):
+    model = tmp_path / "toy.bin"
+    cache = tmp_path / "cache"
+    code, _, _ = run_cli("train-toy", "--seed", "3", "--epochs", "5", "--depth", "2",
+                         "--hidden", "4", "--out", str(model))
+    assert code == 0
+    # the container's payload ends with the last layer's bias, in float32
+    data = model.read_bytes()
+    model.write_bytes(data[:-4] + np.array([np.nan], dtype="<f4").tobytes())
+    code, out, err = run_cli("measure", "--model", str(model), "--bits", "2,4,8",
+                             "--cache-dir", str(cache))
+    assert code == 5
+    assert "bias 1 holds a non-finite value nan at (1)" in err
+    assert out == ""
+    assert not list(cache.glob("batch-*"))
 
 
 @pytest.mark.parametrize("value", BAD_VALUES + (-np.inf,))

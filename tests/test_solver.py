@@ -26,7 +26,6 @@ from mixprec.solver import (
     _frank_wolfe,
     _lmo,
     _mask_couplings,
-    _node_start,
     _partition_groups,
     _quadratic_form,
 )
@@ -193,6 +192,39 @@ def test_raw_entries_need_at_least_one_layer():
     for solve in (solve_exhaustive, solve_bnb):
         with pytest.raises(ValueError, match="at least one layer"):
             solve(np.zeros((0, 0)), (), (2, 4), 10)
+
+
+def test_raw_entries_need_positive_layer_sizes():
+    # A zero size used to divide by zero inside the LMO, and a negative one
+    # returned an answer.
+    rng = np.random.default_rng(0)
+    a = rng.normal(size=(24, 24))
+    g = a @ a.T / 24
+    layer = np.repeat(np.arange(12), 2)
+    g[(layer[:, None] == layer[None, :]) & ~np.eye(24, dtype=bool)] = 0.0
+    g[1::2, 1::2][np.diag_indices(12)] -= 0.5
+    for bad in (0, -1):
+        sizes = (1, bad) + (1,) * 10
+        for solve in (solve_exhaustive, solve_bnb, solve_diagonal_only):
+            with pytest.raises(ValueError, match="layer sizes must be positive"):
+                solve(g, sizes, (2, 4), 30)
+        with pytest.raises(ValueError, match="layer sizes must be positive"):
+            objective(g, BitAssignment([2] * 12), sizes=sizes, menu=(2, 4))
+
+
+def test_budgets_beyond_int64_are_searched(monkeypatch):
+    # A node's remaining budget is a Python int, so a budget of 2**63 bits
+    # or more cannot overflow; it searches like one that fits every layer
+    # at its widest width.
+    monkeypatch.setattr(solver, "SUBCUBE_LIMIT", 4)
+    m, _ = noisy_instance(0)
+    roomy = solve_bnb(m, budget=8 * sum(m.layer_sizes))
+    assert roomy.fw_iterations > 0
+    for budget in (2 ** 63, 10 ** 30):
+        report = solve_bnb(m, budget=budget)
+        assert (report.assignment.bits, report.nodes, report.fw_iterations) == (
+            roomy.assignment.bits, roomy.nodes, roomy.fw_iterations)
+        assert solve_exhaustive(m, budget=budget).assignment.bits == roomy.assignment.bits
 
 
 def test_infeasible_budget_raises():
@@ -362,8 +394,16 @@ def _relaxation_lp(cost, fixed, wmat, limit):
     return float(res.fun)
 
 
+def _node(fixed, wmat, limit):
+    """A node's smallest point, free layers and remaining budget, built as
+    ``_bnb_core`` builds them for ``_frank_wolfe`` and ``_lmo``."""
+    low = np.maximum(fixed, 0)
+    rem = limit - int(wmat[np.arange(len(fixed)), low].sum())
+    return np.eye(wmat.shape[1])[low], np.flatnonzero(fixed < 0), float(rem)
+
+
 def _node_lmo(cost, fixed, wmat, limit):
-    start, free, rem = _node_start(fixed, wmat, limit)
+    start, free, rem = _node(fixed, wmat, limit)
     return _lmo(cost, start, free, wmat, rem)
 
 
@@ -404,7 +444,7 @@ def test_lmo_respects_fixed_layers():
         wmat = np.array([[int(s) * b for b in (2, 4, 8)] for s in rng.integers(1, 6, size=5)],
                         dtype=np.int64)
         fixed = np.where(rng.random(5) < 0.4, rng.integers(0, 3, size=5), -1)
-        start, free, rem = _node_start(fixed, wmat, 0)
+        start, free, rem = _node(fixed, wmat, 0)
         limit = int(-rem + rng.uniform(0.0, 1.0) * (wmat[free, -1] - wmat[free, 0]).sum())
         cost = rng.normal(size=(5, 3))
         x = _node_lmo(cost, fixed, wmat, limit)
@@ -425,8 +465,8 @@ def _relaxation_instance(seed: int):
 def test_frank_wolfe_bound_is_sound():
     for seed in (1, 4, 9):
         m, budget, wmat, fixed = _relaxation_instance(seed)
-        x, f, gap, iters, lb = _frank_wolfe(
-            m.entries, fixed, wmat, budget.limit_bits, 1e-9, 1500)
+        start, free, rem = _node(fixed, wmat, budget.limit_bits)
+        x, iters, lb = _frank_wolfe(m.entries, start, free, wmat, rem)
         integer_opt = solve_exhaustive(m, budget=budget).objective
         assert lb <= integer_opt + 1e-9
         assert np.allclose(x.sum(axis=1), 1.0, rtol=0, atol=1e-9)
@@ -436,15 +476,13 @@ def test_frank_wolfe_stops_once_the_primal_value_clears_the_cut():
     # The primal value bounds the relaxation optimum from above, so once it
     # is below the cut no bound at the node can reach the cut.
     m, budget, wmat, fixed = _relaxation_instance(1)
-    start = _quadratic_form(m.entries, [l * 3 for l in range(5)])
-    stop_lb = start + 1.0
-    _, f, _, iters, lb = _frank_wolfe(
-        m.entries, fixed, wmat, budget.limit_bits, 1e-9, 1500, stop_lb=stop_lb)
+    stop_lb = _quadratic_form(m.entries, [l * 3 for l in range(5)]) + 1.0
+    start, free, rem = _node(fixed, wmat, budget.limit_bits)
+    x, iters, lb = _frank_wolfe(m.entries, start, free, wmat, rem, stop_lb=stop_lb)
     assert iters == 1
-    assert f < stop_lb
+    assert float(x.ravel() @ m.entries @ x.ravel()) < stop_lb
     assert lb < stop_lb
-    _, _, _, iters, _ = _frank_wolfe(
-        m.entries, fixed, wmat, budget.limit_bits, 1e-9, 1500)
+    _, iters, _ = _frank_wolfe(m.entries, start, free, wmat, rem)
     assert iters > 1
 
 
