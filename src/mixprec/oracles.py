@@ -131,7 +131,9 @@ class QuadraticOracle(LossOracle):
         self._row_blocks = [h[rows] for rows in self._rows]
         self._baseline = float(baseline)
         self._samples = int(sample_count)
-        self.layers = [LayerSpec(f"layer{i}", optimum[rows])
+        # The optimum is checked and read-only already; its slices need
+        # no second check.
+        self.layers = [LayerSpec._of_checked(f"layer{i}", optimum[rows])
                        for i, rows in enumerate(self._rows)]
 
     @property

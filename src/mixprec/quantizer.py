@@ -74,11 +74,23 @@ class LayerSpec:
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=np.float64)
-        if w.size < 1:
-            raise ValueError(f"layer {self.name!r} has no weights")
         _require_finite(w.ravel(), f"layer {self.name!r}")
         w = _read_only(w).ravel()
         w.setflags(write=False)  # ravel copies a non-contiguous array
+        self._take(w)
+
+    @classmethod
+    def _of_checked(cls, name: str, weights: np.ndarray) -> "LayerSpec":
+        """A layer over ``weights``, a flat read-only float64 array whose
+        values the caller has already checked finite."""
+        layer = object.__new__(cls)
+        object.__setattr__(layer, "name", name)
+        layer._take(weights)
+        return layer
+
+    def _take(self, w: np.ndarray) -> None:
+        if w.size < 1:
+            raise ValueError(f"layer {self.name!r} has no weights")
         object.__setattr__(self, "weights", w)
 
     @property

@@ -23,6 +23,11 @@ sum makes it quadratic without adding curvature.  This works for
 indefinite matrices too, whose ``a`` is negative.
 A node's Frank-Wolfe solve stops as soon as its primal value drops below
 the pruning cut, because no bound at that node can prune it any more.
+Nodes with at most ``SUBCUBE_LIMIT`` assignments, and ``solve_exhaustive``'s
+whole space, are enumerated instead: every assignment's float score is
+read off one-hot matrix products over the free layers alone, and only the
+assignments within a proven round-off window of the smallest are scored
+exactly (see ``_enumerate_node``).
 ``solve_diagonal_only`` and ``solve_block`` rerun the same search on
 copies with the couplings fully or partially masked to zero.
 
@@ -63,8 +68,9 @@ METHODS = ("full", "diag", "block", "exhaustive")
 
 EXHAUSTIVE_LIMIT = 10_000_000
 # Nodes whose remaining search space is at most this large are enumerated
-# outright instead of bounded; vectorized scoring makes that cheaper than
-# grinding a relaxation bound to prune-grade accuracy.
+# outright instead of bounded.  Re-measured with one-hot scoring (1 BLAS
+# thread): 8,192 and 32,768 cut the enum-many searches by 13% and 4% but
+# slowed the 16-layer quad16 search by 29% and 120%.
 SUBCUBE_LIMIT = 2048
 # Frank-Wolfe stops at this relative duality gap or after this many steps.
 FW_TOL = 1e-9
@@ -72,10 +78,12 @@ FW_MAX_ITER = 1500
 
 BITS_PER_MB = 8 * 2 ** 20
 
-# Gathered entries per enumeration chunk (8 MiB of float64).
+# Largest one-hot table, and largest chunk of scores, that enumeration
+# builds at once (8 MiB of float64 each); larger boxes split their free
+# layers into a head and a tail (see ``_enumerate_node``).
 _ENUM_TERMS = 2 ** 20
-# Relative slack applied when preselecting near-minimal rows; orders of
-# magnitude above accumulation round-off.
+# Relative slack of the enumeration window, which also covers the proven
+# round-off bound of ``_enumerate_node``.
 _SAFETY = 1e-12
 _PRUNE_SAFETY = 1e-9
 
@@ -216,7 +224,10 @@ def _exact_key(entries, menu_bits, wmat, pos):
 
 def _size_table(layer_sizes, menu_bits, limit) -> np.ndarray:
     """Bits of every (layer, menu position); raises when even the smallest
-    model exceeds ``limit``."""
+    model exceeds ``limit``, and when the largest reaches ``2**53`` bits,
+    beyond which enumeration's float sizes would round."""
+    if sum(layer_sizes) * menu_bits[-1] >= 2 ** 53:
+        raise ValueError("models of 2**53 bits or more are not supported")
     wmat = np.array([[s * b for b in menu_bits] for s in layer_sizes], dtype=np.int64)
     min_total = int(wmat[:, 0].sum())
     if min_total > limit:
@@ -225,44 +236,151 @@ def _size_table(layer_sizes, menu_bits, limit) -> np.ndarray:
     return wmat
 
 
-def _enumerate_node(entries, menu_bits, wmat, fixed, limit):
+@dataclass
+class _Enumeration:
+    """What subcube enumeration reads of one solve, computed once per solve.
+
+    ``window`` is the absolute preselection window derived in
+    ``_enumerate_node``.  ``weights`` holds the size of every flat index as
+    a float, exact since a model's size stays below ``2**53`` bits;
+    ``offsets`` holds each layer's first flat index and ``powers`` the
+    place value of each layer's position in a row number.  ``tables``
+    caches transposed one-hot tables by free-layer count, holding only
+    those of at most ``_ENUM_TERMS`` entries.
+    """
+
+    entries: np.ndarray
+    menu_bits: tuple
+    wmat: np.ndarray
+    limit: int
+    window: float
+    weights: np.ndarray
+    offsets: np.ndarray
+    powers: np.ndarray
+    tables: dict
+
+
+def _enumeration(entries, menu_bits, wmat, limit) -> _Enumeration:
+    num_layers, nb = wmat.shape
+    row_sums = np.abs(entries).sum(axis=1).reshape(num_layers, nb)
+    window = 3.0 * (num_layers + 2) ** 2 * 2.0 ** -53 * float(row_sums.max(axis=1).sum())
+    return _Enumeration(entries, menu_bits, wmat, limit, window,
+                        wmat.ravel().astype(np.float64), np.arange(0, num_layers * nb, nb),
+                        nb ** np.arange(num_layers - 1, -1, -1), {})
+
+
+def _one_hot(nb, count) -> np.ndarray:
+    """Transposed one-hot table of every row over ``count`` layers, in
+    lexicographic order: entry ``(l*nb + m, row)`` is 1 where the row puts
+    layer ``l`` at menu position ``m``."""
+    eye = np.eye(nb)[:, None, :, None]
+    table = np.empty((count, nb, nb ** count))
+    for l in range(count):
+        table[l].reshape(nb, nb ** l, nb, -1)[...] = eye
+    return table.reshape(count * nb, nb ** count)
+
+
+def _enumerate_node(en, fixed):
     """Best exact key over a node's assignments, or None if all infeasible.
 
-    ``fixed`` holds each layer's menu position, or -1 for a free layer;
-    rows run over the free layers' positions in lexicographic order.
-    Each chunk gathers the ``L x L`` entries of every feasible row once.
-    Their float sum preselects the near-minimal rows; rows whose gathered
-    entries and size are byte-identical share their exact key up to the
-    bit vector, so only the first of them in lexicographic order is
-    re-scored exactly with fsum.
+    ``en`` is the solve's ``_Enumeration``; ``fixed`` holds each layer's
+    menu position, or -1 for a free layer.  Rows run over the free layers'
+    positions in lexicographic order; ``x`` is a row's one-hot vector over
+    the free layers' positions.  A row scores ``const + x' Q x``: ``const``
+    sums the entries among the fixed positions, and ``Q`` is the free x free
+    part of the matrix with each free position's coupling to the fixed
+    positions (both mirrored entries) added to its diagonal, since
+    ``x_p**2 == x_p``.  A one-hot table ``X`` scores all its rows as
+    ``rowsum((X Q) * X)``; same-layer cross-bit entries only ever meet a
+    zero of ``X``.  A box whose table exceeds ``_ENUM_TERMS`` entries splits
+    its free layers into a head and the longest tail whose table fits: the
+    tail's table and scores are built once, and each chunk of head rows
+    adds its own scores plus the cross term ``X_head (Q_ht + Q_th') X_tail'``
+    for every tail row.
+
+    The float scores only preselect the feasible rows within a window of a
+    chunk's smallest; only those gather their ``L x L`` entries.  Rows
+    whose gathered entries and size are byte-identical share their exact
+    key up to the bit vector, so only the first of them in lexicographic
+    order is re-scored exactly, with fsum.
+
+    The window is sound.  A row's exact sum ``E`` adds ``L**2`` entries,
+    one for each ordered pair of layers; grouped by their row of the
+    matrix, their magnitudes add up to at most ``S``, the sum over layers
+    of the largest absolute row sum among the layer's rows.  The float
+    score adds the same entries, less the fixed x fixed ones that every
+    row shares, times exact factors 0 and 1, along a tree in which each
+    passes fewer than ``n = (L + 2)**2`` roundings; so it errs by at most
+    ``1.01 n u S`` for unit round-off ``u``.  The best row's fsum is at
+    most any other feasible row's, so its ``E`` exceeds theirs by at most
+    ``2 u S``, and its score exceeds the chunk's smallest by at most
+    ``(2.02 n + 2) u S``.  ``3 n u S`` covers that, with room for rounding
+    the window itself; the relative slack ``_SAFETY`` widens it where that
+    is larger.
     """
-    num_layers = len(fixed)
-    layers = np.arange(num_layers)
-    free = fixed < 0
-    shape = tuple(np.where(free, len(menu_bits), 1).tolist())
-    offsets = layers * len(menu_bits)
-    total = math.prod(shape)
-    chunk = max(1, _ENUM_TERMS // num_layers ** 2)
+    entries, wmat = en.entries, en.wmat
+    num_layers, nb = wmat.shape
+    free = np.flatnonzero(fixed < 0)
+    k = len(free)
+    span = k * nb
+    if k < num_layers:
+        held = np.flatnonzero(fixed >= 0)
+        cols = np.concatenate(((en.offsets[free, None] + np.arange(nb)).ravel(),
+                               en.offsets[held] + fixed[held]))
+        gathered = entries[cols[:, None], cols]
+        quad = gathered[:span, :span] + np.diag(
+            gathered[:span, span:].sum(axis=1) + gathered[span:, :span].sum(axis=0))
+        const = float(gathered[span:, span:].sum())
+        weights = en.weights[cols[:span]]
+        room = en.limit - int(en.weights[cols[span:]].sum())
+    else:
+        # Every layer is free, as at the root: Q is the matrix itself.
+        quad, const, weights, room = entries, 0.0, en.weights, en.limit
+    # The tail is the longest suffix of free layers whose table fits.
+    t = k
+    while t > 1 and nb ** t * t * nb > _ENUM_TERMS:
+        t -= 1
+    h = k - t
+    split = h * nb
+    tail = en.tables.get(t)
+    if tail is None:
+        tail = _one_hot(nb, t)
+        if tail.size <= _ENUM_TERMS:
+            en.tables[t] = tail
+    width = tail.shape[1]
+    # Scores leave out const and sizes the fixed layers' share, which are
+    # the same for every row.
+    tail_score = np.einsum("ij,ij->j", quad[split:, split:].T @ tail, tail)
+    tail_size = weights[split:] @ tail
+    powers = en.powers[num_layers - k:]
+    step = max(1, _ENUM_TERMS // width)
     seen = set()
     best = None
-    for start in range(0, total, chunk):
-        index = np.arange(start, min(start + chunk, total))
-        pos = np.where(free, np.stack(np.unravel_index(index, shape), axis=1), fixed)
-        size = wmat[layers, pos].sum(axis=1)
-        feas = size <= limit
+    for start in range(0, nb ** h, step):
+        if h:
+            heads = np.arange(start, min(start + step, nb ** h)) * width
+            head = np.eye(nb)[heads[:, None] // powers[:h] % nb].reshape(-1, split)
+            score = (head @ (quad[:split, split:] + quad[split:, :split].T)) @ tail
+            score += np.einsum("ij,ij->i", head @ quad[:split, :split], head)[:, None]
+            score += tail_score
+            feas = tail_size <= room - (head @ weights[:split])[:, None]
+        else:
+            score, feas = tail_score, tail_size <= room
         if not feas.any():
             continue
-        pos, size = pos[feas], size[feas]
-        flat = pos + offsets
-        terms = entries[flat[:, :, None], flat[:, None, :]].reshape(len(flat), -1)
-        score = terms.sum(axis=1)
-        low = float(score.min())
-        for row in np.flatnonzero(score <= low + _SAFETY * max(1.0, abs(low))):
-            mark = (terms[row].tobytes(), int(size[row]))
+        low = float(score[feas].min())
+        window = max(en.window, _SAFETY * max(1.0, abs(low + const)))
+        rows = np.flatnonzero(feas & (score <= low + window))
+        rows += start * width
+        pos = np.repeat(fixed[None, :], len(rows), axis=0)
+        pos[:, free] = rows[:, None] // powers % nb
+        for row in pos.tolist():
+            flat = en.offsets + row
+            mark = (entries[flat[:, None], flat].tobytes(), en.weights[flat].sum())
             if mark in seen:
                 continue
             seen.add(mark)
-            key = _exact_key(entries, menu_bits, wmat, tuple(pos[row].tolist()))
+            key = _exact_key(entries, en.menu_bits, wmat, tuple(row))
             if best is None or key < best:
                 best = key
     return best
@@ -282,7 +400,8 @@ def solve_exhaustive(g, sizes=None, menu=None, budget=None) -> SolveReport:
         raise SearchSpaceError(
             f"{nb}**{num_layers} assignments exceed the enumeration limit {EXHAUSTIVE_LIMIT}")
     wmat = _size_table(layer_sizes, menu.bits, budget.limit_bits)
-    key = _enumerate_node(entries, menu.bits, wmat, np.full(num_layers, -1), budget.limit_bits)
+    key = _enumerate_node(_enumeration(entries, menu.bits, wmat, budget.limit_bits),
+                          np.full(num_layers, -1))
     return SolveReport(method="exhaustive", status="optimal",
                        assignment=BitAssignment(key[2]), objective=key[0],
                        size_bits=key[1], proved=True, nodes=total,
@@ -433,6 +552,7 @@ def _bnb_core(entries, layer_sizes, menu, budget, method, *,
     limit = budget.limit_bits
     wmat = _size_table(layer_sizes, menu_bits, limit)
     layers = np.arange(num_layers)
+    enumeration = _enumeration(entries, menu_bits, wmat, limit)
     inc_key = _exact_key(entries, menu_bits, wmat, (0,) * num_layers)
     stack = [np.full(num_layers, -1)]
     nodes = 0
@@ -452,7 +572,7 @@ def _bnb_core(entries, layer_sizes, menu, budget, method, *,
             continue
         # SUBCUBE_LIMIT >= 1, so a node with no free layer is enumerated.
         if nb ** int(np.count_nonzero(free)) <= SUBCUBE_LIMIT:
-            best = _enumerate_node(entries, menu_bits, wmat, fixed, limit)
+            best = _enumerate_node(enumeration, fixed)
             if best is not None and best < inc_key:
                 inc_key = best
             continue

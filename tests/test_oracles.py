@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from mixprec import oracles
+from mixprec import oracles, quantizer
 from mixprec.oracles import (
     FileFormatError,
     LossOracle,
@@ -47,11 +47,26 @@ def test_quadratic_validation():
         QuadraticOracle([[0.0, 1.0], [0.5, 0.0]], [0.0, 0.0], [1, 1])
     with pytest.raises(ValueError):
         QuadraticOracle(np.zeros((2, 2)), [0.0], [1, 1])
+    with pytest.raises(ValueError, match="layer 'layer1' has no weights"):
+        QuadraticOracle(np.eye(2), [0.0, 0.0], [2, 0])
     q = QuadraticOracle(np.eye(2), [0.0, 0.0], [1, 1])
     with pytest.raises(ValueError):
         q.evaluate({2: [1.0]})
     with pytest.raises(ValueError):
         q.evaluate({0: [1.0, 2.0]})
+
+
+def test_quadratic_oracle_checks_the_optimum_once(monkeypatch):
+    # The layers view the checked optimum, so their weights are not
+    # scanned for non-finite values a second time.
+    calls = []
+    checked = quantizer._require_finite
+    monkeypatch.setattr(quantizer, "_require_finite",
+                        lambda a, what: calls.append(what) or checked(a, what))
+    q = random_quadratic(0, [2, 3, 4], 0.5)
+    assert calls == []
+    assert [layer.count for layer in q.layers] == [2, 3, 4]
+    assert all(not layer.weights.flags.writeable for layer in q.layers)
 
 
 def test_quadratic_block_accessor():

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,11 +24,15 @@ from mixprec.solver import (
     solve_with_method,
     sweep,
     _convexify,
+    _enumerate_node,
+    _enumeration,
+    _exact_key,
     _frank_wolfe,
     _lmo,
     _mask_couplings,
     _partition_groups,
     _quadratic_form,
+    _size_table,
 )
 from mixprec.spectra import _psd_shift, psd_project
 
@@ -121,12 +126,17 @@ def test_exhaustive_matches_brute_force():
 
 
 def test_exhaustive_matches_brute_force_across_chunks(monkeypatch):
-    # A tiny term budget splits every box into several enumeration chunks.
+    # A tiny term budget splits every box into a head and a tail, and the
+    # heads of three or more layers into several chunks.
     monkeypatch.setattr(solver, "_ENUM_TERMS", 16)
-    _check_exhaustive_matches_brute_force()
+    layer_counts = _check_exhaustive_matches_brute_force()
+    assert all(3 ** L * 3 * L > solver._ENUM_TERMS for L in layer_counts)
+    assert max(layer_counts) >= 3
 
 
 def _check_exhaustive_matches_brute_force():
+    """Checks twelve seeded instances; returns their layer counts."""
+    layer_counts = []
     for seed in range(12):
         rng = np.random.default_rng(seed + 50)
         L = int(rng.integers(2, 5))
@@ -141,6 +151,8 @@ def _check_exhaustive_matches_brute_force():
         assert report.assignment.bits == want[2]
         assert report.proved and report.status == "optimal"
         assert report.nodes == 3 ** L
+        layer_counts.append(L)
+    return layer_counts
 
 
 def test_exhaustive_tie_breaks_smallest_size_then_lex():
@@ -172,6 +184,125 @@ def test_enumeration_keeps_rows_that_win_only_on_the_exact_sum():
         for solve in (solve_exhaustive, solve_bnb):
             report = solve(m, budget=budget)
             assert (report.objective, report.size_bits, report.assignment.bits) == want
+
+
+def _node_by_brute_force(entries, menu_bits, wmat, fixed, limit):
+    """Smallest ``_exact_key`` over a node's feasible assignments, or None."""
+    choices = [range(len(menu_bits)) if p < 0 else (p,) for p in fixed.tolist()]
+    keys = [_exact_key(entries, menu_bits, wmat, pos) for pos in itertools.product(*choices)
+            if sum(wmat[l, p] for l, p in enumerate(pos)) <= limit]
+    return min(keys, default=None)
+
+
+def _check_nodes_match_brute_force(entries, sizes, menu_bits, rng, nodes=6):
+    """Compares ``_enumerate_node`` with brute force on the root and on
+    random partly fixed nodes, at budgets from the smallest model up."""
+    num_layers, nb = len(sizes), len(menu_bits)
+    lo = sum(sizes) * menu_bits[0]
+    hi = sum(sizes) * menu_bits[-1]
+    for limit in (lo, (lo + hi) // 2, hi):
+        wmat = _size_table(sizes, menu_bits, limit)
+        enumeration = _enumeration(entries, menu_bits, wmat, limit)
+        for n in range(nodes):
+            fixed = np.full(num_layers, -1)
+            if n:
+                held = rng.random(num_layers) < 0.4
+                fixed[held] = rng.integers(0, nb, size=int(held.sum()))
+            want = _node_by_brute_force(entries, menu_bits, wmat, fixed, limit)
+            assert _enumerate_node(enumeration, fixed) == want, (limit, fixed)
+
+
+def _random_symmetric(rng, dim):
+    a = rng.normal(size=(dim, dim))
+    return np.triu(a) + np.triu(a, 1).T
+
+
+@pytest.mark.parametrize("terms", [2 ** 20, 12])
+def test_enumerate_node_matches_brute_force(monkeypatch, terms):
+    # At 12 terms a box keeps a one-layer tail and splits its head rows
+    # into chunks of at most six.
+    monkeypatch.setattr(solver, "_ENUM_TERMS", terms)
+    rng = np.random.default_rng(7)
+    for case in range(8):
+        menu_bits = (2, 8) if case % 2 else (2, 4, 8)
+        num_layers = int(rng.integers(3, 7))
+        sizes = tuple(int(s) for s in rng.integers(1, 5, size=num_layers))
+        entries = _random_symmetric(rng, num_layers * len(menu_bits))
+        _check_nodes_match_brute_force(entries, sizes, menu_bits, rng)
+
+
+def test_enumerate_node_breaks_ties_like_brute_force(monkeypatch):
+    # Every row ties on all-zero entries; small integers tie many rows.
+    rng = np.random.default_rng(3)
+    for terms in (2 ** 20, 12):
+        monkeypatch.setattr(solver, "_ENUM_TERMS", terms)
+        for case in range(6):
+            menu_bits = (2, 4, 8)
+            num_layers = int(rng.integers(3, 6))
+            sizes = tuple(int(s) for s in rng.integers(1, 3, size=num_layers))
+            dim = num_layers * len(menu_bits)
+            if case % 3 == 0:
+                entries = np.zeros((dim, dim))
+            else:
+                a = rng.integers(-1, 2, size=(dim, dim)).astype(np.float64)
+                entries = np.triu(a) + np.triu(a, 1).T
+            _check_nodes_match_brute_force(entries, sizes, menu_bits, rng)
+    # (2, 4) and (4, 2) gather the same zeros, but the later one is smaller.
+    entries = np.zeros((4, 4))
+    entries[0, 2] = entries[2, 0] = 1.0
+    wmat = _size_table((1, 5), (2, 4), 100)
+    assert _enumerate_node(_enumeration(entries, (2, 4), wmat, 100), np.full(2, -1)) == (
+        0.0, 14, (4, 2))
+
+
+def _cancelling_matrix(seed):
+    """``v v'`` for integer rows times 1e8 plus small noise: entries near
+    1e17 whose sums cancel down to the noise."""
+    rng = np.random.default_rng(seed)
+    v = rng.integers(-3, 4, size=(18, 2)) * 1e8 + rng.normal(0.0, 0.1, size=(18, 2))
+    g = v @ v.T
+    return np.triu(g) + np.triu(g, 1).T
+
+
+def test_enumeration_window_covers_cancelling_sums():
+    # A window relative to the smallest score alone missed the optimum on
+    # about a third of these matrices, whose float scores err by far more
+    # than the scores themselves.
+    sizes, menu_bits = (1,) * 6, (2, 4, 8)
+    for seed in range(12):
+        entries = _cancelling_matrix(seed)
+        wmat = _size_table(sizes, menu_bits, 10 ** 6)
+        want = _node_by_brute_force(entries, menu_bits, wmat, np.full(6, -1), 10 ** 6)
+        report = solve_exhaustive(entries, sizes, menu_bits, 10 ** 6)
+        assert (report.objective, report.size_bits, report.assignment.bits) == want
+        _check_nodes_match_brute_force(entries, sizes, menu_bits, np.random.default_rng(seed))
+
+
+def test_exhaustive_memory_stays_bounded():
+    # 2**20 assignments: the tail's one-hot table and each chunk of scores
+    # hold at most _ENUM_TERMS floats (8 MiB) each.
+    rng = np.random.default_rng(0)
+    entries = _random_symmetric(rng, 40)
+    entries = entries @ entries / 40
+    entries = np.triu(entries) + np.triu(entries, 1).T
+    sizes = tuple(int(s) for s in rng.integers(1, 5, size=20))
+    tracemalloc.start()
+    try:
+        report = solve_exhaustive(entries, sizes, (2, 8), 5 * sum(sizes))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.nodes == 2 ** 20
+    assert peak < 32 * 2 ** 20
+    assert report.objective == solve_bnb(entries, sizes, (2, 8), 5 * sum(sizes)).objective
+
+
+def test_models_of_2_53_bits_are_refused():
+    # Enumeration scores sizes in float64, exact only below 2**53.
+    for solve in (solve_exhaustive, solve_bnb):
+        with pytest.raises(ValueError, match=r"2\*\*53 bits"):
+            solve(np.eye(2), (2 ** 50,), (2, 8), 2 ** 60)
+    assert solve_exhaustive(np.eye(2), (2 ** 50 - 1,), (2, 8), 2 ** 60).size_bits == 2 ** 51 - 2
 
 
 def test_exhaustive_all_max_bits_when_budget_allows():
