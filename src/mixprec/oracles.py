@@ -199,9 +199,13 @@ def random_quadratic(seed: int, layer_sizes, rho: float, *,
 # ---------------------------------------------------------------------------
 # toy classifier
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ToyModel:
-    """Trained fully-connected classifier weights plus dataset provenance."""
+    """Trained fully-connected classifier weights plus dataset provenance.
+
+    Models compare and hash by identity, as their arrays cannot be
+    compared with ``==``.
+    """
 
     dims: tuple[int, ...]
     weights: tuple[np.ndarray, ...]
@@ -259,11 +263,15 @@ def _forward(weights, biases, h, start=0):
 
     Returns the activation after each hidden layer from ``start`` on, then
     the logits.  This is the only forward pass, so a pass resumed from a
-    stored activation runs exactly the operations of a full one.
+    stored activation runs exactly the operations of a full one.  Each
+    hidden step works in the one array its product makes, with the IEEE
+    operations of ``np.tanh(h @ w + b)``; ``h`` itself is never written.
     """
     outputs = []
     for w, b in zip(weights[start:-1], biases[start:-1]):
-        h = np.tanh(h @ w + b)
+        h = h @ w
+        h += b
+        np.tanh(h, out=h)
         outputs.append(h)
     outputs.append(h @ weights[-1] + biases[-1])
     return outputs
@@ -309,6 +317,11 @@ class ToyClassifierOracle(LossOracle):
     layers from the first one that changed.  The traces decide where a
     pass starts, never its result: every call returns what a fresh oracle
     would, in any call order.
+
+    ``build_matrix`` orders its calls for these traces: each single is
+    followed by its pairs over later layers, latest layer first, so a pair
+    differs from the call before it from its second layer on and runs only
+    the layers from there.
     """
 
     def __init__(self, model: ToyModel, *, eval_start: int = 0, eval_count: int = 256):

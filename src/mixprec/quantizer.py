@@ -61,12 +61,14 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LayerSpec:
     """A named flat weight vector; the unit of bit-width assignment.
 
     The layer takes its weights over as ``_read_only`` does: a caller's
-    float64 array becomes read-only rather than copied.
+    float64 array becomes read-only rather than copied.  Layers compare
+    and hash by identity, as their weight arrays cannot be compared with
+    ``==``.
     """
 
     name: str

@@ -17,7 +17,6 @@ both, and the measurement loop never fills them.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,9 +75,13 @@ def _mask_couplings(entries, group) -> np.ndarray:
     return np.where(group[:, None] == group[None, :], entries, 0.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SensitivityMatrix:
-    """Symmetric ``|B|L x |B|L`` sensitivity entries plus their provenance."""
+    """Symmetric ``|B|L x |B|L`` sensitivity entries plus their provenance.
+
+    Matrices compare and hash by identity, as the arrays they hold cannot
+    be compared with ``==``.
+    """
 
     menu: BitMenu
     layer_sizes: tuple[int, ...]
@@ -145,6 +148,7 @@ def _check_deltas(deltas, layers, nb: int) -> None:
             if np.shape(vec) != (layer.count,):
                 raise ValueError(f"deltas[{i}][{m}] has shape {np.shape(vec)}, "
                                  f"layer {i} has {layer.count} weights")
+            _require_finite(np.asarray(vec, dtype=np.float64), f"deltas[{i}][{m}]")
 
 
 def build_matrix(oracle, menu, *, include_same_layer_cross: bool = False,
@@ -154,16 +158,26 @@ def build_matrix(oracle, menu, *, include_same_layer_cross: bool = False,
     Costs exactly ``1 + |B|L + |B|^2 L(L-1)/2`` loss evaluations: one
     baseline, one per (layer, bit-width), and one joint evaluation per
     cross pair, ``G_pq = loss(p and q) - baseline - G_pp/2 - G_qq/2``.
-    The upper triangle is measured in lexicographic order and mirrored,
+    The upper triangle is computed once every loss is in and mirrored,
     so the result is exactly symmetric and bit-identical across runs for
     a deterministic oracle.
 
+    The losses are measured depth-first: each single ``p = (i, m)`` in
+    flat order, then its pairs ``(p, (j, n))`` over later layers ``j``,
+    latest layer first and widths ascending within a layer.  Consecutive
+    calls then differ from the second layer of a pair on, which is what
+    an oracle that resumes from its previous call's activations, such as
+    ``ToyClassifierOracle``, needs to skip the shared layers.  An oracle
+    whose result does not depend on call order gives the same matrix as
+    in any other order.
+
     ``include_same_layer_cross=True`` additionally measures the
     couplings between two bit-widths of the same layer by applying both
-    perturbations to that layer at once.  One-hot assignments never see
-    these entries; they exist so the quadratic form ``v' G v`` matches
-    the underlying curvature for arbitrary dense ``v``, which is what
-    the PSD argument relies on.  The default leaves them zero.
+    perturbations to that layer at once, right after the single.
+    One-hot assignments never see these entries; they exist so the
+    quadratic form ``v' G v`` matches the underlying curvature for
+    arbitrary dense ``v``, which is what the PSD argument relies on.  The
+    default leaves them zero.
 
     ``deltas`` is a table from :func:`layer_perturbations` for the same
     layers and menu; passing it skips the scale calibration, so batches
@@ -183,18 +197,17 @@ def build_matrix(oracle, menu, *, include_same_layer_cross: bool = False,
         _check_deltas(deltas, layers, nb)
     baseline = oracle.evaluate({})
     g = np.zeros((dim, dim))
-    for i in range(num_layers):
-        for m in range(nb):
-            p = i * nb + m
-            g[p, p] = 2.0 * (oracle.evaluate({i: deltas[i][m]}) - baseline)
-    for p, q in itertools.combinations(range(dim), 2):
-        (i, m), (j, n) = divmod(p, nb), divmod(q, nb)
-        if i != j:
-            joint = oracle.evaluate({i: deltas[i][m], j: deltas[j][n]})
-        elif include_same_layer_cross:
-            joint = oracle.evaluate({i: deltas[i][m] + deltas[i][n]})
-        else:
-            continue
+    joints = {}
+    for p in range(dim):
+        i, m = divmod(p, nb)
+        g[p, p] = 2.0 * (oracle.evaluate({i: deltas[i][m]}) - baseline)
+        if include_same_layer_cross:
+            for n in range(m + 1, nb):
+                joints[p, i * nb + n] = oracle.evaluate({i: deltas[i][m] + deltas[i][n]})
+        for j in range(num_layers - 1, i, -1):
+            for n in range(nb):
+                joints[p, j * nb + n] = oracle.evaluate({i: deltas[i][m], j: deltas[j][n]})
+    for (p, q), joint in joints.items():
         g[p, q] = g[q, p] = joint - baseline - 0.5 * g[p, p] - 0.5 * g[q, q]
     matrix = SensitivityMatrix(menu, tuple(l.count for l in layers), g, oracle.sample_count)
     if not include_same_layer_cross:

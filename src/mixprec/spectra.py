@@ -21,9 +21,13 @@ __all__ = ["EigenDecomposition", "eigh", "psd_project", "SYMMETRY_TOL"]
 SYMMETRY_TOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EigenDecomposition:
-    """Eigenvalues in descending order with orthonormal column eigenvectors."""
+    """Eigenvalues in descending order with orthonormal column eigenvectors.
+
+    Decompositions compare and hash by identity, as their arrays cannot
+    be compared with ``==``.
+    """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray

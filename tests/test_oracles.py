@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import os
 import random
@@ -5,7 +6,7 @@ import random
 import numpy as np
 import pytest
 
-from mixprec import oracles, quantizer
+from mixprec import oracles, quantizer, spectra
 from mixprec.oracles import (
     FileFormatError,
     LossOracle,
@@ -295,9 +296,18 @@ class _FreshOraclePerCall(LossOracle):
         return _fresh_loss(self._model, perturbations)
 
 
-@pytest.mark.parametrize("same_layer_cross", [False, True])
-def test_toy_build_matrix_matches_a_fresh_oracle_per_call(small_toy, same_layer_cross):
-    oracle = ToyClassifierOracle(small_toy, eval_count=32)
+@pytest.fixture(scope="module")
+def deep_toy():
+    """A trained depth-6 toy, so pair orders span more layers."""
+    return train_toy(3, epochs=60, depth=6, hidden=16, eval_count=32).model
+
+
+@pytest.mark.parametrize("model_name, same_layer_cross", [
+    ("small_toy", False), ("small_toy", True), ("deep_toy", False), ("deep_toy", True),
+], ids=["False", "True", "depth6-False", "depth6-True"])
+def test_toy_build_matrix_matches_a_fresh_oracle_per_call(request, model_name,
+                                                          same_layer_cross):
+    oracle = ToyClassifierOracle(request.getfixturevalue(model_name), eval_count=32)
     menu = BitMenu((2, 4, 8))
     table = layer_perturbations(oracle.layers, menu)
     reused = build_matrix(oracle, menu, deltas=table,
@@ -307,23 +317,81 @@ def test_toy_build_matrix_matches_a_fresh_oracle_per_call(small_toy, same_layer_
     assert reused.entries.tobytes() == fresh.entries.tobytes()
 
 
-def test_toy_build_matrix_resumes_from_shared_prefixes(small_toy, monkeypatch):
-    oracle = ToyClassifierOracle(small_toy, eval_count=32)
+def _hidden_steps_per_layer(model, monkeypatch):
+    """Evaluation calls and runs of each hidden layer over one toy
+    ``build_matrix`` at menu 2, 4, 8."""
+    oracle = ToyClassifierOracle(model, eval_count=32)
     menu = BitMenu((2, 4, 8))
     table = layer_perturbations(oracle.layers, menu)
-    steps = []
+    runs = [0] * (len(model.weights) - 1)
+    calls = []
     forward = oracles._forward
 
     def counting(weights, biases, h, start=0):
         outputs = forward(weights, biases, h, start)
-        steps.append(len(outputs) - 1)
+        calls.append(start)
+        for k in range(start, start + len(outputs) - 1):
+            runs[k] += 1
         return outputs
 
     monkeypatch.setattr(oracles, "_forward", counting)
     build_matrix(oracle, menu, deltas=table)
-    assert len(steps) == 1 + 4 * 3 + 6 * 3 * 3
+    return len(calls), runs
+
+
+def test_toy_build_matrix_resumes_from_shared_prefixes(small_toy, monkeypatch):
+    calls, runs = _hidden_steps_per_layer(small_toy, monkeypatch)
+    assert calls == 1 + 4 * 3 + 6 * 3 * 3
     # Full passes would run all 3 hidden layers in each of the 67 calls: 201.
-    assert sum(steps) == 75
+    assert runs == [4, 16, 37]
+    assert sum(runs) == 57
+
+
+@pytest.mark.parametrize("depth", [3, 5])
+def test_toy_build_matrix_runs_each_hidden_layer_the_fewest_times(depth, monkeypatch):
+    model = train_toy(3, epochs=1, depth=depth, hidden=8, eval_count=32).model
+    _, runs = _hidden_steps_per_layer(model, monkeypatch)
+    # Hidden layer k must run in the baseline, in the 3 singles on each of
+    # layers 0..k and in the 9 pairs of each two layers up to k; depth-first
+    # pairs reuse everything before their second layer, so it runs no more.
+    assert runs == [1 + 3 * (k + 1) + 9 * k * (k + 1) // 2 for k in range(depth - 1)]
+
+
+def test_forward_matches_the_out_of_place_chain_byte_for_byte():
+    rng = np.random.default_rng(11)
+    dims = (2, 17, 33, 8, 3)
+    weights = [rng.normal(0.0, 0.7, size=(a, b)) for a, b in zip(dims[:-1], dims[1:])]
+    biases = [rng.normal(0.0, 0.3, size=b) for b in dims[1:]]
+    x = rng.normal(size=(29, 2))
+    kept = x.copy()
+    want = []
+    h = x
+    for w, b in zip(weights[:-1], biases[:-1]):
+        h = np.tanh(h @ w + b)
+        want.append(h)
+    want.append(h @ weights[-1] + biases[-1])
+    got = oracles._forward(weights, biases, x)
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+    resumed = oracles._forward(weights, biases, want[1], start=2)
+    assert [a.tobytes() for a in resumed] == [a.tobytes() for a in want[2:]]
+    assert x.tobytes() == kept.tobytes()
+
+
+def test_array_holding_records_compare_and_hash_by_identity(small_toy):
+    layer = quantizer.LayerSpec("w", np.zeros(2))
+    twin = quantizer.LayerSpec("w", np.zeros(2))
+    matrix = golden_quartet_matrix()
+    eig = spectra.eigh(matrix.entries)
+    for record, other in [(layer, twin),
+                          (small_toy, dataclasses.replace(small_toy)),
+                          (matrix, matrix.with_entries(matrix.entries)),
+                          (eig, spectra.EigenDecomposition(eig.eigenvalues,
+                                                           eig.eigenvectors))]:
+        assert record == record
+        assert record != other
+        assert hash(record) == hash(record)
+        assert record in {record}
+        assert other not in {record}
 
 
 # ---------------------------------------------------------------------------

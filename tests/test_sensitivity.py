@@ -168,6 +168,19 @@ def test_build_matrix_uses_given_deltas(monkeypatch):
             build_matrix(oracle, menu, deltas=bad)
 
 
+def test_build_matrix_rejects_a_non_finite_delta_before_any_evaluation():
+    counter = CountingOracle(random_quadratic(5, (3, 2, 4), 0.7))
+    menu = BitMenu((2, 4, 8))
+    table = layer_perturbations(counter.layers, menu)
+    for bad in (np.nan, np.inf):
+        broken = [list(row) for row in table]
+        broken[1][2] = broken[1][2].copy()
+        broken[1][2][1] = bad
+        with pytest.raises(ValueError, match=r"deltas\[1\]\[2\] holds a non-finite value"):
+            build_matrix(counter, menu, deltas=broken)
+    assert counter.calls == 0
+
+
 def test_build_matrix_is_deterministic():
     q = random_quadratic(8, [3, 2], 0.7)
     a = build_matrix(q, BitMenu((2, 4)))
