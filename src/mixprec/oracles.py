@@ -84,12 +84,15 @@ class LossOracle(ABC):
         """Mean loss with ``perturbations[i]`` added to layer ``i``'s weights."""
 
     def _check_perturbations(self, perturbations) -> dict[int, np.ndarray]:
+        layers = self.layers
         checked = {}
         for idx, vec in perturbations.items():
-            if not 0 <= idx < len(self.layers):
+            if not 0 <= idx < len(layers):
                 raise ValueError(f"layer index {idx} out of range")
-            arr = np.asarray(vec, dtype=np.float64).ravel()
-            want = self.layers[idx].count
+            arr = np.asarray(vec, dtype=np.float64)
+            if arr.ndim != 1 or not arr.flags.c_contiguous:
+                arr = arr.ravel()  # flat, and copied if strided
+            want = layers[idx].weights.size
             if arr.size != want:
                 raise ValueError(
                     f"perturbation for layer {idx} has {arr.size} elements, expected {want}")

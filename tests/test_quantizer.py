@@ -114,6 +114,14 @@ def test_calibration_attains_the_grid_minimum():
             assert chosen <= other
 
 
+def _geomspace_grid(amax, bits):
+    """The candidate grid as numpy's own ``geomspace``, then both min-max steps."""
+    base = amax / 2 ** (bits - 1)
+    grid = np.geomspace(quantizer.SCALE_SPAN_LO * base, quantizer.SCALE_SPAN_HI * base,
+                        quantizer.SCALE_CANDIDATES)
+    return np.concatenate([grid, [base, amax / (2 ** (bits - 1) - 1)]])
+
+
 def _full_grid_scale(w, bits, block=None):
     """The calibration as a candidate x weight grid of plain expressions.
 
@@ -121,7 +129,7 @@ def _full_grid_scale(w, bits, block=None):
     at a time to bound the memory of large layers, and since a row's mean
     depends only on that row the choice is the same.
     """
-    cands = _candidate_scales(float(np.max(np.abs(w))), bits)
+    cands = _geomspace_grid(float(np.max(np.abs(w))), bits)
     lo, hi = -(2 ** (bits - 1)), 2 ** (bits - 1) - 1
     step = block or len(cands)
     mse = []
@@ -130,6 +138,62 @@ def _full_grid_scale(w, bits, block=None):
         q = np.clip(np.round(w[None, :] / c), lo, hi) * c
         mse.append(np.mean((q - w[None, :]) ** 2, axis=1))
     return float(cands[int(np.argmin(np.concatenate(mse)))])
+
+
+# max|w| across the float64 range, and small enough that the grid starts
+# among the subnormals (below 2**-1022) at every width
+_GRID_AMAX = np.concatenate([
+    np.geomspace(1e-300, 1e300, 601),
+    np.geomspace(1e-321, 1e-300, 61),
+    [2.0 ** -1022, np.nextafter(2.0 ** -1022, 0.0), 5e-324 * 2 ** 20, np.finfo(float).max],
+])
+
+
+@pytest.mark.parametrize("bits", range(2, 17))
+def test_candidate_scales_match_geomspace_byte_for_byte(bits):
+    subnormal_starts = 0
+    for amax in _GRID_AMAX.tolist():
+        lo = quantizer.SCALE_SPAN_LO * (amax / 2 ** (bits - 1))
+        if lo == 0.0:
+            with pytest.raises(ValueError, match="outside the float64 range"):
+                _candidate_scales(amax, bits)
+            continue
+        subnormal_starts += lo < 2.0 ** -1022
+        got = _candidate_scales(amax, bits)
+        want = _geomspace_grid(amax, bits)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), amax
+    assert subnormal_starts >= 20
+
+
+@pytest.mark.parametrize("chunk", [None, 1000, 3])
+def test_exact_mse_matches_its_docstring_byte_for_byte(monkeypatch, chunk):
+    # None keeps every candidate in one chunk; 1000 elements hold a few rows
+    # and leave a short last chunk; 3 scores a 4-weight layer row by row
+    if chunk is not None:
+        monkeypatch.setattr(quantizer, "_CALIBRATE_CHUNK", chunk)
+    rng = np.random.default_rng(chunk or 0)
+    for size in (1, 2, 3, 4, 7, 333, 1000):
+        for bits in (2, 3, 4, 8, 16):
+            w = rng.normal(size=size) * float(rng.uniform(0.01, 100.0))
+            cands = _candidate_scales(float(np.max(np.abs(w))), bits)
+            lo, hi = -(2 ** (bits - 1)), 2 ** (bits - 1) - 1
+            c = cands[:, None]
+            want = np.mean((np.clip(np.round(w / c), lo, hi) * c - w) ** 2, axis=1)
+            got = quantizer._exact_mse(w, cands, bits)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (size, bits)
+
+
+def test_calibration_rejects_a_grid_outside_float64():
+    # 5e-324 / 2 rounds to zero, so the smallest candidate would too
+    with pytest.raises(ValueError, match=r"width of 2 bits for max\|w\| = 5e-324"):
+        calibrate_scale_mse(np.array([5e-324]), 2)
+    # 2**1099 levels do not fit a float64
+    with pytest.raises(ValueError, match=r"width of 1100 bits for max\|w\| = 1.5"):
+        perturbation(np.array([0.5, -1.5]), 1100)
+    # 99 ulps is the smallest maximum whose 2-bit grid starts above zero
+    assert calibrate_scale_mse(np.array([5e-324 * 99]), 2) > 0.0
+    with pytest.raises(ValueError, match="outside the float64 range"):
+        calibrate_scale_mse(np.array([5e-324 * 98]), 2)
 
 
 @pytest.mark.parametrize("chunk, sizes", [
