@@ -16,9 +16,8 @@ which changes where a forward pass starts but never a result.
 * ``ToyClassifierOracle``: a small fully-connected tanh classifier on a
   deterministic two-moons dataset, trained here; the cheapest oracle
   whose curvature has genuine cross-layer structure.  An evaluation
-  resumes from the longest layer prefix it shares with the baseline call
-  or the previous call, so it recomputes only the layers from the first
-  perturbed one that changed.
+  resumes from the longest layer prefix it shares with the previous
+  call, so it recomputes only the layers from the first one that changed.
 
 Oracles round-trip through a little binary container: an 8-byte magic,
 a little-endian uint32 header length, a JSON header, and a float32
@@ -280,18 +279,15 @@ def _forward(weights, biases, h, start=0):
     return outputs
 
 
-def _shared_prefix(weights, traced, own) -> int:
+def _shared_prefix(weights, traced) -> int:
     """Number of leading layers whose effective weights are the same.
 
-    A layer at the model's own array ``own[k]`` matches only by identity;
-    two perturbed layers match when they are bitwise equal, compared as
-    ``uint64`` so that ``-0.0`` against ``0.0`` and NaNs stay exact.
+    Two layers match when they are the same array or bitwise equal,
+    compared as ``uint64`` so that ``-0.0`` against ``0.0`` and NaNs stay
+    exact.
     """
     for k, (a, b) in enumerate(zip(weights, traced)):
-        if a is b:
-            continue
-        if a is own[k] or b is own[k] or not np.array_equal(
-                a.view(np.uint64), b.view(np.uint64)):
+        if a is not b and not np.array_equal(a.view(np.uint64), b.view(np.uint64)):
             return k
     return len(weights)
 
@@ -312,19 +308,19 @@ class ToyClassifierOracle(LossOracle):
     Only the weight matrices are exposed as quantizable layers; biases
     stay at full precision.
 
-    ``evaluate`` keeps two traces, of the baseline call and of the latest
-    call: every layer's effective weights and the input to every layer.
-    A call starts its forward pass at the first layer whose effective
-    weights differ from the trace sharing the longest prefix with it, from
-    that trace's stored input, so measuring a pair recomputes only the
-    layers from the first one that changed.  The traces decide where a
+    ``evaluate`` keeps one trace, of the latest call: every layer's
+    effective weights and the input to every layer.  A call starts its
+    forward pass at the first layer whose effective weights differ from
+    the trace's, from the trace's stored input, so it recomputes only the
+    layers from the first one that changed.  The trace decides where a
     pass starts, never its result: every call returns what a fresh oracle
     would, in any call order.
 
-    ``build_matrix`` orders its calls for these traces: each single is
-    followed by its pairs over later layers, latest layer first, so a pair
-    differs from the call before it from its second layer on and runs only
-    the layers from there.
+    ``build_matrix`` orders its calls for this trace: singles run from the
+    last layer to the first, each followed by its pairs over later layers,
+    latest layer first.  A single then shares with the call before it
+    every layer before its own, as the baseline call would, and a pair
+    every layer before its second one.
     """
 
     def __init__(self, model: ToyModel, *, eval_start: int = 0, eval_count: int = 256):
@@ -333,7 +329,7 @@ class ToyClassifierOracle(LossOracle):
         self.model = model
         self._eval_x, self._eval_y = _eval_stream(model, eval_start, eval_count)
         self.layers = [LayerSpec(f"fc{i}", w.ravel()) for i, w in enumerate(model.weights)]
-        self._baseline_trace = self._last_trace = None
+        self._trace = None
 
     @property
     def sample_count(self) -> int:
@@ -341,21 +337,17 @@ class ToyClassifierOracle(LossOracle):
 
     def evaluate(self, perturbations) -> float:
         checked = self._check_perturbations(perturbations)
-        own = self.model.weights
-        weights = list(own)
+        weights = list(self.model.weights)
         for idx, vec in checked.items():
             weights[idx] = weights[idx] + vec.reshape(weights[idx].shape)
         # The output layer always runs: a trace stores inputs, not logits.
         start, inputs = 0, [self._eval_x]
-        for trace in (self._baseline_trace, self._last_trace):
-            if trace is not None:
-                shared = min(_shared_prefix(weights, trace[0], own), len(weights) - 1)
-                if shared > start:
-                    start, inputs = shared, trace[1][:shared + 1]
+        if self._trace is not None:
+            start = min(_shared_prefix(weights, self._trace[0]), len(weights) - 1)
+            inputs = self._trace[1][:start + 1]
+            self._trace = None  # frees the activations this pass replaces
         *hidden, logits = _forward(weights, self.model.biases, inputs[-1], start)
-        self._last_trace = (weights, inputs + hidden)
-        if not checked:
-            self._baseline_trace = self._last_trace
+        self._trace = (weights, inputs + hidden)
         return _mean_cross_entropy(logits, self._eval_y)
 
 

@@ -294,8 +294,8 @@ def calibrate_scale_mse(w, bits: int) -> float:
     The search is a fixed deterministic grid, so the result depends only on
     the weight values and the bit-width.  An all-zero vector is represented
     exactly by every grid, so it calibrates to the sentinel scale 1.0.
-    NaN and infinite weights raise ``ValueError``, and so does a width
-    whose grid leaves the float64 range (see ``_candidate_scales``).
+    NaN and infinite weights raise ``ValueError``, and so do a grid that
+    leaves the float64 range and squared errors that all overflow it.
 
     Large layers are screened first (``_screen``): a proven bound on each
     candidate's error sum drops every candidate that cannot be the minimum,
@@ -317,7 +317,13 @@ def calibrate_scale_mse(w, bits: int) -> float:
     # 202 x (2**bits - 1) edge table cost more than scoring every candidate.
     if w.size >= 32 * 2 ** bits:
         cands = _survivors(w, cands, bits)
-    return float(cands[_exact_mse(w, cands, bits).argmin()])
+    mse = _exact_mse(w, cands, bits)
+    best = mse.argmin()
+    if not math.isfinite(mse[best]):
+        raise ValueError(
+            f"cannot calibrate a width of {bits} bits for max|w| = {amax!r}: "
+            "every candidate scale's squared error overflows float64")
+    return float(cands[best])
 
 
 def perturbation(layer, bits: int) -> np.ndarray:

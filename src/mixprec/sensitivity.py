@@ -158,22 +158,23 @@ def build_matrix(oracle, menu, *, include_same_layer_cross: bool = False,
     Costs exactly ``1 + |B|L + |B|^2 L(L-1)/2`` loss evaluations: one
     baseline, one per (layer, bit-width), and one joint evaluation per
     cross pair, ``G_pq = loss(p and q) - baseline - G_pp/2 - G_qq/2``.
-    The upper triangle is computed once every loss is in and mirrored,
-    so the result is exactly symmetric and bit-identical across runs for
-    a deterministic oracle.
+    Each entry and its mirror are filled as soon as the joint loss comes
+    back, so the result is exactly symmetric and bit-identical across
+    runs for a deterministic oracle.
 
-    The losses are measured depth-first: each single ``p = (i, m)`` in
-    flat order, then its pairs ``(p, (j, n))`` over later layers ``j``,
-    latest layer first and widths ascending within a layer.  Consecutive
-    calls then differ from the second layer of a pair on, which is what
-    an oracle that resumes from its previous call's activations, such as
-    ``ToyClassifierOracle``, needs to skip the shared layers.  An oracle
-    whose result does not depend on call order gives the same matrix as
-    in any other order.
+    The singles ``p = (i, m)`` run from the last layer to the first and
+    from the widest width down, each followed by its pairs ``(p, (j, n))``
+    over later layers ``j``, latest layer first and widths ascending.
+    Both singles of a pair thus come before it, and each call shares with
+    the previous one every layer before ``j`` for a pair and before ``i``
+    otherwise, as many as any earlier call could.  An oracle that resumes
+    from its previous call's activations, such as ``ToyClassifierOracle``,
+    skips those layers; one whose result does not depend on call order
+    gives the same matrix in any order.
 
     ``include_same_layer_cross=True`` additionally measures the
     couplings between two bit-widths of the same layer by applying both
-    perturbations to that layer at once, right after the single.
+    perturbations to that layer at once, after the single's pairs.
     One-hot assignments never see these entries; they exist so the
     quadratic form ``v' G v`` matches the underlying curvature for
     arbitrary dense ``v``, which is what the PSD argument relies on.  The
@@ -195,20 +196,20 @@ def build_matrix(oracle, menu, *, include_same_layer_cross: bool = False,
         deltas = layer_perturbations(layers, menu)
     else:
         _check_deltas(deltas, layers, nb)
+    flat = [vec for row in deltas for vec in row]
     baseline = oracle.evaluate({})
     g = np.zeros((dim, dim))
-    joints = {}
-    for p in range(dim):
-        i, m = divmod(p, nb)
-        g[p, p] = 2.0 * (oracle.evaluate({i: deltas[i][m]}) - baseline)
-        if include_same_layer_cross:
-            for n in range(m + 1, nb):
-                joints[p, i * nb + n] = oracle.evaluate({i: deltas[i][m] + deltas[i][n]})
+    for p in range(dim - 1, -1, -1):
+        i = p // nb
+        g[p, p] = 2.0 * (oracle.evaluate({i: flat[p]}) - baseline)
         for j in range(num_layers - 1, i, -1):
-            for n in range(nb):
-                joints[p, j * nb + n] = oracle.evaluate({i: deltas[i][m], j: deltas[j][n]})
-    for (p, q), joint in joints.items():
-        g[p, q] = g[q, p] = joint - baseline - 0.5 * g[p, p] - 0.5 * g[q, q]
+            for q in range(j * nb, (j + 1) * nb):
+                joint = oracle.evaluate({i: flat[p], j: flat[q]})
+                g[p, q] = g[q, p] = joint - baseline - 0.5 * g[p, p] - 0.5 * g[q, q]
+        if include_same_layer_cross:
+            for q in range(p + 1, (i + 1) * nb):
+                joint = oracle.evaluate({i: flat[p] + flat[q]})
+                g[p, q] = g[q, p] = joint - baseline - 0.5 * g[p, p] - 0.5 * g[q, q]
     matrix = SensitivityMatrix(menu, tuple(l.count for l in layers), g, oracle.sample_count)
     if not include_same_layer_cross:
         assert matrix.has_block_zeros()

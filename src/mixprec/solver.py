@@ -82,6 +82,8 @@ BITS_PER_MB = 8 * 2 ** 20
 # builds at once (8 MiB of float64 each); larger boxes split their free
 # layers into a head and a tail (see ``_enumerate_node``).
 _ENUM_TERMS = 2 ** 20
+# Read-only one-hot tables of at most SUBCUBE_LIMIT rows, by (nb, count).
+_ONE_HOT = {}
 # Relative slack of the enumeration window, which also covers the proven
 # round-off bound of ``_enumerate_node``.
 _SAFETY = 1e-12
@@ -244,9 +246,7 @@ class _Enumeration:
     ``_enumerate_node``.  ``weights`` holds the size of every flat index as
     a float, exact since a model's size stays below ``2**53`` bits;
     ``offsets`` holds each layer's first flat index and ``powers`` the
-    place value of each layer's position in a row number.  ``tables``
-    caches transposed one-hot tables by free-layer count, holding only
-    those of at most ``_ENUM_TERMS`` entries.
+    place value of each layer's position in a row number.
     """
 
     entries: np.ndarray
@@ -257,7 +257,6 @@ class _Enumeration:
     weights: np.ndarray
     offsets: np.ndarray
     powers: np.ndarray
-    tables: dict
 
 
 def _enumeration(entries, menu_bits, wmat, limit) -> _Enumeration:
@@ -266,7 +265,7 @@ def _enumeration(entries, menu_bits, wmat, limit) -> _Enumeration:
     window = 3.0 * (num_layers + 2) ** 2 * 2.0 ** -53 * float(row_sums.max(axis=1).sum())
     return _Enumeration(entries, menu_bits, wmat, limit, window,
                         wmat.ravel().astype(np.float64), np.arange(0, num_layers * nb, nb),
-                        nb ** np.arange(num_layers - 1, -1, -1), {})
+                        nb ** np.arange(num_layers - 1, -1, -1))
 
 
 def _one_hot(nb, count) -> np.ndarray:
@@ -342,11 +341,12 @@ def _enumerate_node(en, fixed):
         t -= 1
     h = k - t
     split = h * nb
-    tail = en.tables.get(t)
+    tail = _ONE_HOT.get((nb, t))
     if tail is None:
         tail = _one_hot(nb, t)
-        if tail.size <= _ENUM_TERMS:
-            en.tables[t] = tail
+        if nb ** t <= SUBCUBE_LIMIT:  # a node's table; larger ones are not kept
+            tail.setflags(write=False)
+            _ONE_HOT[nb, t] = tail
     width = tail.shape[1]
     # Scores leave out const and sizes the fixed layers' share, which are
     # the same for every row.

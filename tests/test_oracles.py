@@ -317,30 +317,35 @@ def test_toy_build_matrix_matches_a_fresh_oracle_per_call(request, model_name,
     assert reused.entries.tobytes() == fresh.entries.tobytes()
 
 
-def _hidden_steps_per_layer(model, monkeypatch):
-    """Evaluation calls and runs of each hidden layer over one toy
-    ``build_matrix`` at menu 2, 4, 8."""
-    oracle = ToyClassifierOracle(model, eval_count=32)
-    menu = BitMenu((2, 4, 8))
-    table = layer_perturbations(oracle.layers, menu)
-    runs = [0] * (len(model.weights) - 1)
-    calls = []
+def _counting_forward(monkeypatch):
+    """Patch ``oracles._forward`` to record each pass's start layer; returns
+    the list of starts."""
+    starts = []
     forward = oracles._forward
 
     def counting(weights, biases, h, start=0):
-        outputs = forward(weights, biases, h, start)
-        calls.append(start)
-        for k in range(start, start + len(outputs) - 1):
-            runs[k] += 1
-        return outputs
+        starts.append(start)
+        return forward(weights, biases, h, start)
 
     monkeypatch.setattr(oracles, "_forward", counting)
-    build_matrix(oracle, menu, deltas=table)
-    return len(calls), runs
+    return starts
 
 
-def test_toy_build_matrix_resumes_from_shared_prefixes(small_toy, monkeypatch):
-    calls, runs = _hidden_steps_per_layer(small_toy, monkeypatch)
+def _hidden_steps_per_layer(model, bits=(2, 4, 8)):
+    """Evaluation calls and runs of each hidden layer over one toy
+    ``build_matrix`` at the given menu."""
+    oracle = ToyClassifierOracle(model, eval_count=32)
+    menu = BitMenu(bits)
+    table = layer_perturbations(oracle.layers, menu)
+    with pytest.MonkeyPatch.context() as patch:
+        starts = _counting_forward(patch)
+        build_matrix(oracle, menu, deltas=table)
+    hidden = len(model.weights) - 1
+    return len(starts), [sum(start <= k for start in starts) for k in range(hidden)]
+
+
+def test_toy_build_matrix_resumes_from_shared_prefixes(small_toy):
+    calls, runs = _hidden_steps_per_layer(small_toy)
     assert calls == 1 + 4 * 3 + 6 * 3 * 3
     # Full passes would run all 3 hidden layers in each of the 67 calls: 201.
     assert runs == [4, 16, 37]
@@ -348,13 +353,30 @@ def test_toy_build_matrix_resumes_from_shared_prefixes(small_toy, monkeypatch):
 
 
 @pytest.mark.parametrize("depth", [3, 5])
-def test_toy_build_matrix_runs_each_hidden_layer_the_fewest_times(depth, monkeypatch):
+def test_toy_build_matrix_runs_each_hidden_layer_the_fewest_times(depth):
     model = train_toy(3, epochs=1, depth=depth, hidden=8, eval_count=32).model
-    _, runs = _hidden_steps_per_layer(model, monkeypatch)
-    # Hidden layer k must run in the baseline, in the 3 singles on each of
-    # layers 0..k and in the 9 pairs of each two layers up to k; depth-first
-    # pairs reuse everything before their second layer, so it runs no more.
-    assert runs == [1 + 3 * (k + 1) + 9 * k * (k + 1) // 2 for k in range(depth - 1)]
+    for bits in [(2, 8), (2, 4, 8), (2, 3, 4, 8)]:
+        _, runs = _hidden_steps_per_layer(model, bits)
+        nb = len(bits)
+        # Hidden layer k must run in the baseline, in the nb singles on each
+        # of layers 0..k and in the nb**2 pairs of each two layers up to k;
+        # every pair reuses everything before its second layer, so it runs
+        # no more.
+        assert runs == [1 + nb * (k + 1) + nb * nb * k * (k + 1) // 2
+                        for k in range(depth - 1)], bits
+
+
+def test_toy_zero_perturbation_reruns_only_the_output_layer(small_toy, monkeypatch):
+    starts = _counting_forward(monkeypatch)
+    last = len(small_toy.weights) - 1
+    for i, w in enumerate(small_toy.weights):
+        oracle = ToyClassifierOracle(small_toy, eval_count=32)
+        baseline = oracle.evaluate({})
+        # A zero perturbation leaves the layer bitwise equal to the model's,
+        # so only the output layer, which a trace never stores, runs again.
+        loss = oracle.evaluate({i: np.zeros(w.size)})
+        assert starts[-2:] == [0, last]
+        assert np.float64(loss).tobytes() == np.float64(baseline).tobytes()
 
 
 def test_forward_matches_the_out_of_place_chain_byte_for_byte():

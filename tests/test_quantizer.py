@@ -196,6 +196,19 @@ def test_calibration_rejects_a_grid_outside_float64():
         calibrate_scale_mse(np.array([5e-324 * 98]), 2)
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_calibration_rejects_weights_whose_every_error_overflows():
+    # every candidate's squared error is inf, so no scale is the minimum;
+    # the 512-weight case is past the screen's range and scores every candidate
+    for w, bits in [([1e200, -3e199, 2.0], 4), (np.linspace(-1e200, 1e200, 512), 2)]:
+        with pytest.raises(ValueError, match=rf"width of {bits} bits for max\|w\| = 1e\+200: "
+                                             "every candidate"):
+            calibrate_scale_mse(np.array(w), bits)
+    # some candidates overflow here, but the best one does not
+    delta = perturbation(np.array([1e300, -2.0, 3.0]), 1024)
+    assert np.all(np.isfinite(delta))
+
+
 @pytest.mark.parametrize("chunk, sizes", [
     # the default 2**20 elements hold all 202 candidates in one chunk up to
     # 5,191 weights, and need two from 5,192 on

@@ -138,6 +138,50 @@ def test_build_matrix_evaluation_count():
     assert counter.calls == 37 + 3 * 3
 
 
+class _RecordingOracle(CountingOracle):
+    """Records each call as a tuple of ``(layer, label)`` in the order the
+    call lists its layers; ``labels`` maps a one-weight perturbation's value
+    to its label."""
+
+    def __init__(self, inner, labels):
+        super().__init__(inner)
+        self.labels = labels
+        self.log = []
+
+    def evaluate(self, perturbations) -> float:
+        self.log.append(tuple((i, self.labels[float(v[0])]) for i, v in perturbations.items()))
+        return super().evaluate(perturbations)
+
+
+@pytest.mark.parametrize("same_layer_cross", [False, True])
+def test_build_matrix_call_sequence(same_layer_cross):
+    # Three one-weight layers at two widths: a width's perturbation is 1.0
+    # or 2.0, so a same-layer sum reads 3.0.
+    oracle = _RecordingOracle(random_quadratic(4, (1, 1, 1), 0.5), {1.0: 0, 2.0: 1, 3.0: "0+1"})
+    deltas = [[np.array([1.0]), np.array([2.0])] for _ in range(3)]
+    build_matrix(oracle, BitMenu((2, 4)), include_same_layer_cross=same_layer_cross,
+                 deltas=deltas)
+    sums = same_layer_cross
+    want = [(),
+            ((2, 1),),
+            ((2, 0),), *[((2, "0+1"),)] * sums,
+            ((1, 1),), ((1, 1), (2, 0)), ((1, 1), (2, 1)),
+            ((1, 0),), ((1, 0), (2, 0)), ((1, 0), (2, 1)), *[((1, "0+1"),)] * sums,
+            ((0, 1),), ((0, 1), (2, 0)), ((0, 1), (2, 1)), ((0, 1), (1, 0)), ((0, 1), (1, 1)),
+            ((0, 0),), ((0, 0), (2, 0)), ((0, 0), (2, 1)), ((0, 0), (1, 0)), ((0, 0), (1, 1)),
+            *[((0, "0+1"),)] * sums]
+    assert oracle.log == want
+    # Both singles of every pair, and of every same-layer sum, come first.
+    for k, call in enumerate(oracle.log):
+        if len(call) == 2:
+            singles = [(c,) for c in call]
+        elif call and call[0][1] == "0+1":
+            singles = [((call[0][0], 0),), ((call[0][0], 1),)]
+        else:
+            continue
+        assert all(s in oracle.log[:k] for s in singles), call
+
+
 def test_build_matrix_rejects_empty_oracle():
     class Hollow:
         layers = []
