@@ -117,13 +117,22 @@ def _check_bits_scale(bits: int, scale: float) -> None:
 
 
 def quantize(w, bits: int, scale: float) -> np.ndarray:
-    """Map ``w`` to the nearest representable values at the given step size."""
+    """Map ``w`` to the nearest representable values at the given step size.
+
+    The result is, byte for byte, ``np.clip(np.round(w / scale), lo, hi) *
+    scale`` with ``lo, hi = -2**(bits-1), 2**(bits-1) - 1``, computed in one
+    buffer by the ufuncs behind those calls, without their wrappers.
+    """
     _check_bits_scale(bits, scale)
     w = np.asarray(w, dtype=np.float64)
-    # np.round is round-half-to-even, which keeps results platform-stable.
-    lo = -(2 ** (bits - 1))
-    hi = 2 ** (bits - 1) - 1
-    return np.clip(np.round(w / scale), lo, hi) * scale
+    q = np.divide(w, scale, out=np.empty(w.shape))
+    # np.rint is round-half-to-even, which keeps results platform-stable.
+    np.rint(q, out=q)
+    # Clipping to nonzero integer bounds: the bytes np.clip gives, NaN included.
+    np.maximum(q, -(2 ** (bits - 1)), out=q)
+    np.minimum(q, 2 ** (bits - 1) - 1, out=q)
+    np.multiply(q, scale, out=q)
+    return q
 
 
 def _candidate_scales(amax: float, bits: int) -> np.ndarray:
@@ -171,16 +180,20 @@ def _exact_mse(w: np.ndarray, cands: np.ndarray, bits: int) -> np.ndarray:
     # the candidates scores exactly as it does inside the full grid.
     buf = np.empty((rows, w.size))
     mse = np.empty(len(cands))
-    for start in range(0, len(cands), rows):
-        c = cands[start:start + rows, None]
-        q = buf[:len(c)]
-        np.divide(w, c, out=q)
-        np.rint(q, out=q)  # what np.round runs for decimals=0
-        np.clip(q, lo, hi, out=q)
-        np.multiply(q, c, out=q)
-        np.subtract(q, w, out=q)
-        np.square(q, out=q)
-        np.add.reduce(q, axis=1, out=mse[start:start + len(c)])
+    # Candidates far below max|w| / 2**(bits-1) can overflow in the divide
+    # or the square; their score is then inf, which the minimum passes over.
+    with np.errstate(over="ignore"):
+        for start in range(0, len(cands), rows):
+            c = cands[start:start + rows, None]
+            q = buf[:len(c)]
+            np.divide(w, c, out=q)
+            np.rint(q, out=q)  # what np.round runs for decimals=0
+            np.maximum(q, lo, out=q)  # np.clip's bytes, as in quantize
+            np.minimum(q, hi, out=q)
+            np.multiply(q, c, out=q)
+            np.subtract(q, w, out=q)
+            np.square(q, out=q)
+            np.add.reduce(q, axis=1, out=mse[start:start + len(c)])
     mse /= w.size
     return mse
 
@@ -332,5 +345,6 @@ def perturbation(layer, bits: int) -> np.ndarray:
         w = layer.weights
     else:
         w = np.asarray(layer, dtype=np.float64).ravel()
-    scale = calibrate_scale_mse(w, bits)
-    return quantize(w, bits, scale) - w
+    delta = quantize(w, bits, calibrate_scale_mse(w, bits))
+    delta -= w
+    return delta

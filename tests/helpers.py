@@ -1,6 +1,6 @@
 """Shared fixtures-in-spirit for the test suite: golden micro-instances,
 noisy indefinite instances, an evaluation-counting oracle wrapper, a
-matrix replay oracle, and an in-process CLI runner.
+matrix replay oracle, a reference toy trainer, and an in-process CLI runner.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from mixprec import (
     random_quadratic,
 )
 from mixprec.cli import main as cli_main
+from mixprec.oracles import _TAG_INIT, _forward, _mean_cross_entropy, make_moons
 from mixprec.solver import SizeBudget, _quadratic_form
 
 # Seed-stream tag of the replay oracle's synthetic weights.
@@ -170,3 +171,51 @@ def parse_kv(stdout: str) -> dict[str, str]:
             key, _, value = line.partition("=")
             pairs[key] = value
     return pairs
+
+
+def reference_train_toy(seed: int, epochs: int = 2000, *, depth: int = 8, hidden: int = 16,
+                        train_count: int = 256, noise: float = 0.15, lr: float = 0.01,
+                        loss_target: float = 1e-4):
+    """``train_toy``'s weights and biases, and its number of Adam updates,
+    from one array per parameter.
+
+    Each parameter keeps its own gradient and Adam moments, updated by the
+    textbook expressions on fresh arrays; ``train_toy`` must reproduce the
+    weights and biases bit for bit from its flat buffers.
+    """
+    x, y = make_moons(seed, train_count, noise=noise)
+    dims = (2,) + (hidden,) * (depth - 1) + (2,)
+    rng = np.random.default_rng(np.random.SeedSequence([seed, _TAG_INIT]))
+    weights = [rng.normal(0.0, 1.0, size=(a, b)) * np.sqrt(2.0 / (a + b))
+               for a, b in zip(dims[:-1], dims[1:])]
+    biases = [np.zeros(b) for b in dims[1:]]
+    params = weights + biases
+    first = [np.zeros_like(p) for p in params]
+    second = [np.zeros_like(p) for p in params]
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    onehot = np.eye(2)[y]
+    n = len(y)
+    updates = 0
+    for step in range(1, epochs + 1):
+        *acts, logits = _forward(weights, biases, x)
+        acts = [x] + acts
+        z = logits - logits.max(axis=1, keepdims=True)
+        p = np.exp(z)
+        p /= p.sum(axis=1, keepdims=True)
+        if _mean_cross_entropy(logits, y) <= loss_target:
+            break
+        updates = step
+        d = (p - onehot) / n
+        grads = [None] * len(params)
+        for i in range(len(weights) - 1, -1, -1):
+            grads[i] = acts[i].T @ d
+            grads[len(weights) + i] = d.sum(axis=0)
+            if i > 0:
+                d = (d @ weights[i].T) * (1.0 - acts[i] ** 2)
+        for i, par in enumerate(params):
+            first[i] = beta1 * first[i] + (1.0 - beta1) * grads[i]
+            second[i] = beta2 * second[i] + (1.0 - beta2) * grads[i] ** 2
+            mhat = first[i] / (1.0 - beta1 ** step)
+            vhat = second[i] / (1.0 - beta2 ** step)
+            par -= lr * mhat / (np.sqrt(vhat) + eps)
+    return weights, biases, updates

@@ -22,7 +22,7 @@ from mixprec.oracles import (
 from mixprec.sensitivity import BitMenu, SensitivityMatrix, build_matrix, layer_perturbations
 from mixprec.quantizer import perturbation
 
-from helpers import MatrixBackedOracle, golden_quartet_matrix
+from helpers import MatrixBackedOracle, golden_quartet_matrix, reference_train_toy, run_cli
 
 
 # ---------------------------------------------------------------------------
@@ -168,6 +168,38 @@ def test_train_toy_is_deterministic():
     for wa, wb in zip(a.model.weights, b.model.weights):
         assert np.array_equal(wa, wb)
     assert a.evaluate({}) == b.evaluate({})
+
+
+def _bits(arrays):
+    return [a.view(np.uint64) for a in arrays]
+
+
+@pytest.mark.parametrize("config, stops_early", [
+    # stops on loss_target after 87 of its 400 updates
+    (dict(seed=0, depth=4, hidden=16, epochs=400, loss_target=0.02), True),
+    # capped by epochs; hidden 7 puts the views at offsets of 8 but not 64 bytes
+    (dict(seed=1, depth=3, hidden=7, epochs=150), False),
+    (dict(seed=2, depth=2, hidden=4, epochs=120, train_count=100), False),
+    (dict(seed=3, depth=5, hidden=24, epochs=40, train_count=77), False),
+    (dict(seed=4, depth=8, hidden=16, epochs=60, noise=0.3, lr=0.03), False),
+])
+def test_train_toy_matches_the_per_array_reference_bit_for_bit(config, stops_early):
+    weights, biases, updates = reference_train_toy(**config)
+    assert (updates < config["epochs"]) == stops_early
+    model = train_toy(**config, eval_count=8).model
+    assert all(map(np.array_equal, _bits(model.weights), _bits(weights)))
+    assert all(map(np.array_equal, _bits(model.biases), _bits(biases)))
+
+
+def test_train_toy_keeps_every_parameter_in_one_frozen_buffer():
+    model = train_toy(0, epochs=3, depth=3, hidden=5, eval_count=8).model
+    flat = model.weights[0].base
+    assert flat.ndim == 1
+    assert flat.size == sum(a.size for a in model.weights + model.biases)
+    assert all(a.base is flat for a in model.weights + model.biases)
+    assert not flat.flags.writeable
+    # weights, then biases: the container's payload order
+    assert np.array_equal(flat, np.concatenate([a.ravel() for a in model.weights + model.biases]))
 
 
 def test_toy_oracle_interface():
@@ -524,6 +556,34 @@ def test_container_error_reporting(tmp_path):
     path.write_bytes(b"MIXPREC1" + len(blob).to_bytes(4, "little") + blob)
     with pytest.raises(FileFormatError):
         load_oracle(path)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 30, 31])
+def test_payload_reads_in_chunks_to_the_same_values(tmp_path, monkeypatch, chunk):
+    # 25 + 5 = 30 values: single values, a short last chunk, one exact
+    # chunk and one chunk larger than the payload
+    monkeypatch.setattr(oracles, "_PAYLOAD_CHUNK", chunk)
+    q = random_quadratic(4, [3, 2], 0.7)
+    path = tmp_path / "quad.bin"
+    save_oracle(q, path)
+    loaded = load_oracle(path)
+    assert np.array_equal(loaded.curvature, q.curvature.astype(np.float32).astype(np.float64))
+    optimum = np.concatenate([layer.weights for layer in q.layers])
+    assert np.array_equal(np.concatenate([layer.weights for layer in loaded.layers]),
+                          optimum.astype(np.float32).astype(np.float64))
+
+
+@pytest.mark.parametrize("extra", [1, 2, 3])
+def test_ragged_payload_is_a_file_error(tmp_path, extra):
+    path = tmp_path / "ragged.bin"
+    save_oracle(random_quadratic(4, [2, 2], 0.5), path)
+    path.write_bytes(path.read_bytes() + b"\x00" * extra)
+    with pytest.raises(FileFormatError, match="ragged.bin.*whole number of float32"):
+        load_oracle(path)
+    code, _, err = run_cli("measure", "--model", str(path), "--bits", "2,4",
+                           "--cache-dir", str(tmp_path / "cache"))
+    assert code == 4
+    assert "ragged.bin" in err
 
 
 def test_truncated_quadratic_payload(tmp_path):

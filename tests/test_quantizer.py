@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -29,6 +30,27 @@ def test_hand_example_unit_scale_clipping():
 def test_hand_example_ties_to_even():
     got = quantize([2.5, -2.5, 3.49], 4, 1.0)
     assert np.array_equal(got, [2.0, -2.0, 3.0])
+
+
+def _reference_quantize(w, bits, scale):
+    """The expression ``quantize``'s docstring gives."""
+    lo, hi = -(2 ** (bits - 1)), 2 ** (bits - 1) - 1
+    return np.clip(np.round(np.asarray(w, dtype=np.float64) / scale), lo, hi) * scale
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")  # 1e300 / 1e-300, in both
+def test_quantize_matches_its_docstring_byte_for_byte():
+    rng = np.random.default_rng(8)
+    ties = np.arange(-9.5, 10.0)  # every .5 tie, inside and past each range
+    special = np.array([0.0, -0.0, -0.4, 0.4, 1e300, -1e300, np.inf, -np.inf, np.nan,
+                        5e-324, -5e-324])
+    for bits in (2, 3, 4, 8, 16, 53, 64, 1023):
+        for scale in (1.0, 0.5, 0.1, 3.0, 1e-300, 2.0 ** -20):
+            for w in (ties, ties * scale, special, rng.normal(size=(3, 5)) * 8.0 * scale):
+                got = quantize(w, bits, scale)
+                want = _reference_quantize(w, bits, scale)
+                assert got.shape == want.shape
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (bits, scale, w)
 
 
 def test_quantize_preserves_shape():
@@ -196,16 +218,18 @@ def test_calibration_rejects_a_grid_outside_float64():
         calibrate_scale_mse(np.array([5e-324 * 98]), 2)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_calibration_rejects_weights_whose_every_error_overflows():
     # every candidate's squared error is inf, so no scale is the minimum;
-    # the 512-weight case is past the screen's range and scores every candidate
-    for w, bits in [([1e200, -3e199, 2.0], 4), (np.linspace(-1e200, 1e200, 512), 2)]:
-        with pytest.raises(ValueError, match=rf"width of {bits} bits for max\|w\| = 1e\+200: "
-                                             "every candidate"):
-            calibrate_scale_mse(np.array(w), bits)
-    # some candidates overflow here, but the best one does not
-    delta = perturbation(np.array([1e300, -2.0, 3.0]), 1024)
+    # the 512-weight case is past the screen's range and scores every candidate.
+    # Overflow is expected on the way, so it raises the error and warns of nothing.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for w, bits in [([1e200, -3e199, 2.0], 4), (np.linspace(-1e200, 1e200, 512), 2)]:
+            with pytest.raises(ValueError, match=rf"width of {bits} bits for max\|w\| = 1e\+200: "
+                                                 "every candidate"):
+                calibrate_scale_mse(np.array(w), bits)
+        # some candidates overflow here, but the best one does not
+        delta = perturbation(np.array([1e300, -2.0, 3.0]), 1024)
     assert np.all(np.isfinite(delta))
 
 
