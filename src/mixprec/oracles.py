@@ -296,11 +296,14 @@ def _shared_prefix(weights, traced) -> int:
     return len(weights)
 
 
-def _mean_cross_entropy(logits, labels):
+def _cross_entropy(logits, labels):
+    """Mean cross-entropy, with the exponentials of the row-max-shifted
+    logits and their row sums, whose quotient is the softmax."""
     z = logits - logits.max(axis=1, keepdims=True)
-    lse = np.log(np.sum(np.exp(z), axis=1))
+    exps = np.exp(z)
+    sums = np.sum(exps, axis=1)
     picked = z[np.arange(len(labels)), labels]
-    return float(np.mean(lse - picked))
+    return float(np.mean(np.log(sums) - picked)), exps, sums
 
 
 class ToyClassifierOracle(LossOracle):
@@ -352,7 +355,7 @@ class ToyClassifierOracle(LossOracle):
             self._trace = None  # frees the activations this pass replaces
         *hidden, logits = _forward(weights, self.model.biases, inputs[-1], start)
         self._trace = (weights, inputs + hidden)
-        return _mean_cross_entropy(logits, self._eval_y)
+        return _cross_entropy(logits, self._eval_y)[0]
 
 
 def toy_training_accuracy(model: ToyModel) -> float:
@@ -426,12 +429,10 @@ def train_toy(seed: int, epochs: int = 2000, *, depth: int = 8, hidden: int = 16
     for step in range(1, epochs + 1):
         *hidden, logits = _forward(weights, biases, x)
         acts = [x] + hidden
-        z = logits - logits.max(axis=1, keepdims=True)
-        d = np.exp(z)
-        d /= d.sum(axis=1, keepdims=True)
-        loss = _mean_cross_entropy(logits, y)
+        loss, d, sums = _cross_entropy(logits, y)
         if loss <= loss_target:
             break
+        d /= sums[:, None]
         d -= onehot
         d /= n
         for i in range(depth - 1, -1, -1):

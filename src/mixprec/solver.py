@@ -39,6 +39,7 @@ smaller total size, then lexicographically smaller bit vector.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass
 
@@ -78,11 +79,12 @@ FW_MAX_ITER = 1500
 
 BITS_PER_MB = 8 * 2 ** 20
 
-# Largest one-hot table, and largest chunk of scores, that enumeration
-# builds at once (8 MiB of float64 each); larger boxes split their free
-# layers into a head and a tail (see ``_enumerate_node``).
+# Largest chunk of scores that enumeration builds at once (8 MiB of
+# float64).  A tail's one-hot table stays within it too, which binds only
+# where it is set far lower (see ``_enumerate_node``).
 _ENUM_TERMS = 2 ** 20
-# Read-only one-hot tables of at most SUBCUBE_LIMIT rows, by (nb, count).
+# Read-only one-hot tables of at most SUBCUBE_LIMIT rows, by (nb, count),
+# built on first use and held for the process: about 0.7 MiB per menu size.
 _ONE_HOT = {}
 # Relative slack of the enumeration window, which also covers the proven
 # round-off bound of ``_enumerate_node``.
@@ -291,11 +293,16 @@ def _enumerate_node(en, fixed):
     positions (both mirrored entries) added to its diagonal, since
     ``x_p**2 == x_p``.  A one-hot table ``X`` scores all its rows as
     ``rowsum((X Q) * X)``; same-layer cross-bit entries only ever meet a
-    zero of ``X``.  A box whose table exceeds ``_ENUM_TERMS`` entries splits
-    its free layers into a head and the longest tail whose table fits: the
-    tail's table and scores are built once, and each chunk of head rows
-    adds its own scores plus the cross term ``X_head (Q_ht + Q_th') X_tail'``
-    for every tail row.
+    zero of ``X``.  A box splits its free layers into a head and a tail,
+    the longest suffix whose table has at most ``SUBCUBE_LIMIT`` rows and
+    ``_ENUM_TERMS`` entries; at the default ``_ENUM_TERMS`` a
+    branch-and-bound node's box is all tail.  Tail tables come from
+    ``_ONE_HOT``, built once per process and shared read-only.  The tail's
+    scores are built once per box.  Head rows go in lexicographic order, in
+    chunks of ``_ENUM_TERMS`` over the tail's row count (at least one); a
+    chunk adds its own scores plus the cross term
+    ``X_head (Q_ht + Q_th') X_tail'`` for every tail row, so a box holds one
+    chunk of scores at a time.
 
     The float scores only preselect the feasible rows within a window of a
     chunk's smallest; only those gather their ``L x L`` entries.  Rows
@@ -309,7 +316,8 @@ def _enumerate_node(en, fixed):
     of the largest absolute row sum among the layer's rows.  The float
     score adds the same entries, less the fixed x fixed ones that every
     row shares, times exact factors 0 and 1, along a tree in which each
-    passes fewer than ``n = (L + 2)**2`` roundings; so it errs by at most
+    passes fewer than ``n = (L + 2)**2`` roundings, wherever the head ends
+    and the tail begins; so it errs by at most
     ``1.01 n u S`` for unit round-off ``u``.  The best row's fsum is at
     most any other feasible row's, so its ``E`` exceeds theirs by at most
     ``2 u S``, and its score exceeds the chunk's smallest by at most
@@ -335,18 +343,17 @@ def _enumerate_node(en, fixed):
     else:
         # Every layer is free, as at the root: Q is the matrix itself.
         quad, const, weights, room = entries, 0.0, en.weights, en.limit
-    # The tail is the longest suffix of free layers whose table fits.
+    # The tail is the longest suffix of free layers whose table is a node's.
     t = k
-    while t > 1 and nb ** t * t * nb > _ENUM_TERMS:
+    while t > 1 and (nb ** t > SUBCUBE_LIMIT or nb ** t * t * nb > _ENUM_TERMS):
         t -= 1
     h = k - t
     split = h * nb
     tail = _ONE_HOT.get((nb, t))
     if tail is None:
         tail = _one_hot(nb, t)
-        if nb ** t <= SUBCUBE_LIMIT:  # a node's table; larger ones are not kept
-            tail.setflags(write=False)
-            _ONE_HOT[nb, t] = tail
+        tail.setflags(write=False)
+        _ONE_HOT[nb, t] = tail
     width = tail.shape[1]
     # Scores leave out const and sizes the fixed layers' share, which are
     # the same for every row.
@@ -354,13 +361,16 @@ def _enumerate_node(en, fixed):
     tail_size = weights[split:] @ tail
     powers = en.powers[num_layers - k:]
     step = max(1, _ENUM_TERMS // width)
+    if h:
+        cross = quad[:split, split:] + quad[split:, :split].T
+        chunk = np.empty((min(step, nb ** h), width))
     seen = set()
     best = None
     for start in range(0, nb ** h, step):
         if h:
             heads = np.arange(start, min(start + step, nb ** h)) * width
             head = np.eye(nb)[heads[:, None] // powers[:h] % nb].reshape(-1, split)
-            score = (head @ (quad[:split, split:] + quad[split:, :split].T)) @ tail
+            score = np.matmul(head @ cross, tail, out=chunk[:len(heads)])
             score += np.einsum("ij,ij->i", head @ quad[:split, :split], head)[:, None]
             score += tail_score
             feas = tail_size <= room - (head @ weights[:split])[:, None]
@@ -368,7 +378,7 @@ def _enumerate_node(en, fixed):
             score, feas = tail_score, tail_size <= room
         if not feas.any():
             continue
-        low = float(score[feas].min())
+        low = float(np.min(score, where=feas, initial=np.inf))
         window = max(en.window, _SAFETY * max(1.0, abs(low + const)))
         rows = np.flatnonzero(feas & (score <= low + window))
         rows += start * width
@@ -545,7 +555,17 @@ def _convexify(entries, nb):
 def _bnb_core(entries, layer_sizes, menu, budget, method, *,
               node_limit: int = 1_000_000, time_limit: float | None = None) -> SolveReport:
     """Depth-first branch-and-bound; the keyword options are the only
-    per-call solver settings and their defaults are declared here."""
+    per-call solver settings and their defaults are declared here.
+
+    ``node_limit`` is an integer >= 0 and ``time_limit`` None or a number
+    >= 0, infinity included; 0 for either allows no search at all.
+    """
+    if not isinstance(node_limit, numbers.Integral) or node_limit < 0:
+        raise ValueError(f"node_limit must be an integer >= 0, got {node_limit!r}")
+    # Written so that NaN fails the comparison.
+    if time_limit is not None and not (isinstance(time_limit, numbers.Real)
+                                       and time_limit >= 0):
+        raise ValueError(f"time_limit must be None or a number >= 0, got {time_limit!r}")
     menu_bits = menu.bits
     num_layers = len(layer_sizes)
     nb = len(menu_bits)

@@ -1,12 +1,14 @@
 """Shared fixtures-in-spirit for the test suite: golden micro-instances,
 noisy indefinite instances, an evaluation-counting oracle wrapper, a
-matrix replay oracle, a reference toy trainer, and an in-process CLI runner.
+matrix replay oracle, a reference toy trainer, a tracemalloc peak probe,
+and an in-process CLI runner.
 """
 
 from __future__ import annotations
 
 import contextlib
 import io
+import tracemalloc
 
 import numpy as np
 
@@ -20,7 +22,7 @@ from mixprec import (
     random_quadratic,
 )
 from mixprec.cli import main as cli_main
-from mixprec.oracles import _TAG_INIT, _forward, _mean_cross_entropy, make_moons
+from mixprec.oracles import _TAG_INIT, _cross_entropy, _forward, make_moons
 from mixprec.solver import SizeBudget, _quadratic_form
 
 # Seed-stream tag of the replay oracle's synthetic weights.
@@ -155,6 +157,16 @@ class MatrixBackedOracle(LossOracle):
         return 0.5 * _quadratic_form(self.matrix.entries, selected)
 
 
+def traced_peak(fn, *args, **kwargs):
+    """``fn(*args, **kwargs)`` and the tracemalloc peak in bytes while it ran."""
+    tracemalloc.start()
+    try:
+        result = fn(*args, **kwargs)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def run_cli(*args: str) -> tuple[int, str, str]:
     """Run the CLI entry point in-process; returns (code, stdout, stderr)."""
     out, err = io.StringIO(), io.StringIO()
@@ -202,7 +214,7 @@ def reference_train_toy(seed: int, epochs: int = 2000, *, depth: int = 8, hidden
         z = logits - logits.max(axis=1, keepdims=True)
         p = np.exp(z)
         p /= p.sum(axis=1, keepdims=True)
-        if _mean_cross_entropy(logits, y) <= loss_target:
+        if _cross_entropy(logits, y)[0] <= loss_target:
             break
         updates = step
         d = (p - onehot) / n

@@ -201,6 +201,28 @@ def test_exhaustive_rejects_search_limits(quad_setup, tmp_path):
     assert not out_csv.exists()
 
 
+def test_invalid_search_limits_are_validation_errors(quad_setup, tmp_path):
+    _, cache = quad_setup
+    for option, value in (("--node-limit", "-5"), ("--time-limit", "-1"),
+                          ("--time-limit", "nan")):
+        code, out, err = run_cli("solve", "--cache-dir", str(cache), "--budget-bits", "45",
+                                 option, value)
+        assert code == 5
+        assert out == ""
+        assert option[2:].replace("-", "_") in err
+    out_csv = tmp_path / "sweep.csv"
+    code, out, err = run_cli("sweep", "--cache-dir", str(cache), "--budgets-bits", "20,45",
+                             "--node-limit", "-3", "--out", str(out_csv))
+    assert code == 5
+    assert out == ""
+    assert "node_limit" in err
+    assert not out_csv.exists()
+    code, out, _ = run_cli("solve", "--cache-dir", str(cache), "--budget-bits", "45",
+                           "--time-limit", "inf")
+    assert code == 0
+    assert parse_kv(out)["proved"] == "true"
+
+
 def test_solve_budget_in_megabytes(quad_setup):
     _, cache = quad_setup
     code, out, _ = run_cli("solve", "--cache-dir", str(cache),

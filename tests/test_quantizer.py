@@ -1,4 +1,3 @@
-import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -13,6 +12,8 @@ from mixprec.quantizer import (
     quantize,
     _candidate_scales,
 )
+
+from helpers import traced_peak
 
 
 def test_hand_example_half_step_scale():
@@ -391,12 +392,7 @@ def test_screen_falls_back_outside_its_proven_range():
 ])
 def test_screened_calibration_memory(size, bits, mib):
     w = np.random.default_rng(9).normal(size=size)
-    tracemalloc.start()
-    try:
-        calibrate_scale_mse(w, bits)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(calibrate_scale_mse, w, bits)
     assert peak <= mib * 2 ** 20
 
 
@@ -404,24 +400,14 @@ def test_unscreened_calibration_memory_is_one_chunk_buffer():
     # at 12 bits a 65,536-weight layer is below the screen's size, so all
     # 202 candidates go through the 8 MiB chunk buffer
     w = np.random.default_rng(10).normal(size=65536)
-    tracemalloc.start()
-    try:
-        calibrate_scale_mse(w, 12)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(calibrate_scale_mse, w, 12)
     assert 8 * 2 ** 20 <= peak <= 12 * 2 ** 20
 
 
 def test_calibration_memory_is_one_chunk_buffer():
     # one chunk of 2**20 float64 candidate x weight elements is 8 MiB
     w = np.random.default_rng(9).normal(size=65536)
-    tracemalloc.start()
-    try:
-        calibrate_scale_mse(w, 8)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(calibrate_scale_mse, w, 8)
     assert peak <= 12 * 2 ** 20
 
 

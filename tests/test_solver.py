@@ -1,6 +1,5 @@
 import itertools
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -42,6 +41,7 @@ from helpers import (
     golden_quartet_matrix,
     golden_trio_matrix,
     noisy_instance,
+    traced_peak,
 )
 
 
@@ -217,6 +217,21 @@ def _random_symmetric(rng, dim):
     return np.triu(a) + np.triu(a, 1).T
 
 
+def _record_one_hot(monkeypatch):
+    """Empties the one-hot cache and returns the row counts of the tables
+    ``_one_hot`` is asked for from then on."""
+    monkeypatch.setattr(solver, "_ONE_HOT", {})
+    rows = []
+    build = solver._one_hot
+
+    def one_hot(nb, count):
+        rows.append(nb ** count)
+        return build(nb, count)
+
+    monkeypatch.setattr(solver, "_one_hot", one_hot)
+    return rows
+
+
 @pytest.mark.parametrize("terms", [2 ** 20, 12])
 def test_enumerate_node_matches_brute_force(monkeypatch, terms):
     # At 12 terms a box keeps a one-layer tail and splits its head rows
@@ -229,6 +244,21 @@ def test_enumerate_node_matches_brute_force(monkeypatch, terms):
         sizes = tuple(int(s) for s in rng.integers(1, 5, size=num_layers))
         entries = _random_symmetric(rng, num_layers * len(menu_bits))
         _check_nodes_match_brute_force(entries, sizes, menu_bits, rng)
+
+
+def test_enumerate_node_matches_brute_force_with_row_capped_tails(monkeypatch):
+    # At SUBCUBE_LIMIT 4 a tail keeps at most two layers of (2, 8) and one
+    # of (2, 4, 8), so every box of three or more free layers splits.
+    monkeypatch.setattr(solver, "SUBCUBE_LIMIT", 4)
+    rows = _record_one_hot(monkeypatch)
+    rng = np.random.default_rng(11)
+    for case in range(8):
+        menu_bits = (2, 8) if case % 2 else (2, 4, 8)
+        num_layers = int(rng.integers(3, 7))
+        sizes = tuple(int(s) for s in rng.integers(1, 5, size=num_layers))
+        entries = _random_symmetric(rng, num_layers * len(menu_bits))
+        _check_nodes_match_brute_force(entries, sizes, menu_bits, rng)
+    assert max(rows) == 4
 
 
 def test_enumerate_node_breaks_ties_like_brute_force(monkeypatch):
@@ -279,22 +309,40 @@ def test_enumeration_window_covers_cancelling_sums():
 
 
 def test_exhaustive_memory_stays_bounded():
-    # 2**20 assignments: the tail's one-hot table and each chunk of scores
-    # hold at most _ENUM_TERMS floats (8 MiB) each.
+    # 2**20 assignments: enumeration holds one chunk of _ENUM_TERMS scores
+    # (8 MiB) beside one-hot tables of at most SUBCUBE_LIMIT rows.
     rng = np.random.default_rng(0)
     entries = _random_symmetric(rng, 40)
     entries = entries @ entries / 40
     entries = np.triu(entries) + np.triu(entries, 1).T
     sizes = tuple(int(s) for s in rng.integers(1, 5, size=20))
-    tracemalloc.start()
-    try:
-        report = solve_exhaustive(entries, sizes, (2, 8), 5 * sum(sizes))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    report, peak = traced_peak(solve_exhaustive, entries, sizes, (2, 8), 5 * sum(sizes))
     assert report.nodes == 2 ** 20
-    assert peak < 32 * 2 ** 20
+    assert peak < 16 * 2 ** 20
     assert report.objective == solve_bnb(entries, sizes, (2, 8), 5 * sum(sizes)).objective
+
+
+def test_exhaustive_tails_are_shared_node_sized_tables(monkeypatch):
+    # 2**15 assignments run as 16 head rows against one 2**11-row tail.
+    rows = _record_one_hot(monkeypatch)
+    rng = np.random.default_rng(5)
+    sizes = tuple(int(s) for s in rng.integers(1, 5, size=15))
+    budget = 5 * sum(sizes)
+    built = []
+    for _ in range(2):
+        entries = _random_symmetric(rng, 30)
+        entries = entries @ entries / 30
+        entries = np.triu(entries) + np.triu(entries, 1).T
+        rows.clear()
+        report, peak = traced_peak(solve_exhaustive, entries, sizes, (2, 8), budget)
+        built.append(list(rows))
+        assert report.nodes == 2 ** 15
+        assert peak < 2 * 2 ** 20
+        assert report.objective == solve_bnb(entries, sizes, (2, 8), budget).objective
+    # The first solve builds only node-sized tables, the second none.
+    assert built[0] and max(built[0]) <= solver.SUBCUBE_LIMIT
+    assert built[1] == []
+    assert not any(table.flags.writeable for table in solver._ONE_HOT.values())
 
 
 def test_models_of_2_53_bits_are_refused():
@@ -427,6 +475,28 @@ def test_bnb_rejects_unknown_options():
     m = golden_quartet_matrix()
     with pytest.raises(TypeError):
         solve_with_method("full", m, None, None, SizeBudget(68), fw_tol_typo=1.0)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("node_limit", -5), ("node_limit", 2.0), ("node_limit", None),
+    ("time_limit", -1.0), ("time_limit", math.nan), ("time_limit", "1"),
+])
+def test_bnb_rejects_invalid_limits(name, value):
+    m = golden_quartet_matrix()
+    for method in ("full", "diag", "block"):
+        with pytest.raises(ValueError, match=name):
+            solve_with_method(method, m, None, None, SizeBudget(68),
+                              block_partition=[[0, 1], [2, 3]], **{name: value})
+    # also where the budget is infeasible, so that no sweep row hides it
+    with pytest.raises(ValueError, match=name):
+        sweep(m, budgets=[1, 68], **{name: value})
+
+
+def test_bnb_accepts_zero_and_infinite_limits():
+    m, budget = golden_quartet_matrix(), SizeBudget(GOLDEN_QUARTET_BUDGET_BITS)
+    assert solve_bnb(m, budget=budget, node_limit=0).nodes == 0
+    report = solve_bnb(m, budget=budget, node_limit=np.int64(10), time_limit=math.inf)
+    assert report.proved and report.status == "optimal"
 
 
 def test_budget_monotonicity():
