@@ -79,18 +79,12 @@ def _fmt(value: float) -> str:
     return format(float(value), ".17g")
 
 
-def _parse_ints(text: str, what: str) -> tuple[int, ...]:
+def _parse_list(text: str, what: str, kind=int) -> tuple:
     try:
-        return tuple(int(part) for part in text.split(","))
+        return tuple(kind(part) for part in text.split(","))
     except ValueError:
-        raise _UsageError(f"{what} must be comma-separated integers, got {text!r}") from None
-
-
-def _parse_floats(text: str, what: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(part) for part in text.split(","))
-    except ValueError:
-        raise _UsageError(f"{what} must be comma-separated numbers, got {text!r}") from None
+        noun = "integers" if kind is int else "numbers"
+        raise _UsageError(f"{what} must be comma-separated {noun}, got {text!r}") from None
 
 
 def _parse_partition(text: str) -> list[tuple[int, ...]]:
@@ -98,13 +92,12 @@ def _parse_partition(text: str) -> list[tuple[int, ...]]:
     blocks = []
     for chunk in text.split(";"):
         members = []
-        for item in chunk.split(","):
-            item = item.strip()
-            if "-" in item[1:]:
-                lo, _, hi = item.partition("-")
+        for item in filter(None, map(str.strip, chunk.split(","))):
+            lo, _, hi = item.partition("-") if "-" in item[1:] else (item, "", item)
+            try:
                 members.extend(range(int(lo), int(hi) + 1))
-            elif item:
-                members.append(int(item))
+            except ValueError:
+                raise _UsageError(f"bad member {item!r} in partition {text!r}") from None
         if not members:
             raise _UsageError(f"empty block in partition {text!r}")
         blocks.append(tuple(members))
@@ -203,7 +196,7 @@ def cmd_train_toy(args) -> int:
 
 
 def cmd_gen_quadratic(args) -> int:
-    sizes = _parse_ints(args.sizes, "--sizes")
+    sizes = _parse_list(args.sizes, "--sizes")
     oracle = random_quadratic(args.seed, sizes, args.rho, weight_scale=args.scale,
                               sample_ratio=args.sample_ratio)
     save_oracle(oracle, args.out)
@@ -212,12 +205,12 @@ def cmd_gen_quadratic(args) -> int:
 
 
 def cmd_measure(args) -> int:
-    menu = BitMenu(_parse_ints(args.bits, "--bits"))
-    cache_dir = _cache_dir(args, create=True)
+    menu = BitMenu(_parse_list(args.bits, "--bits"))
     if args.batch_size < 1:
         raise _UsageError("--batch-size must be >= 1")
     if args.batches < 0 or args.first_batch < 0:
         raise _UsageError("batch indices must be non-negative")
+    cache_dir = _cache_dir(args, create=True)
     # The perturbations depend only on the weights and the menu, so they are
     # calibrated once, on the first batch measured, and reused for the rest.
     deltas = first = weights = sizes = None
@@ -253,8 +246,8 @@ def cmd_measure(args) -> int:
 
 
 def cmd_import_matrix(args) -> int:
-    menu = BitMenu(_parse_ints(args.bits, "--bits"))
-    sizes = _parse_ints(args.sizes, "--sizes")
+    menu = BitMenu(_parse_list(args.bits, "--bits"))
+    sizes = _parse_list(args.sizes, "--sizes")
     cache_dir = _cache_dir(args, create=True)
     dense = np.loadtxt(args.dense, dtype=np.float64, ndmin=2)
     dim = len(menu) * len(sizes)
@@ -299,10 +292,10 @@ def cmd_sweep(args) -> int:
     if (args.budgets_mb is None) == (args.budgets_bits is None):
         raise _UsageError("exactly one of --budgets-mb or --budgets-bits is required")
     if args.budgets_bits is not None:
-        budgets = [SizeBudget(b) for b in _parse_ints(args.budgets_bits, "--budgets-bits")]
+        budgets = [SizeBudget(b) for b in _parse_list(args.budgets_bits, "--budgets-bits")]
     else:
         budgets = [SizeBudget.from_megabytes(mb)
-                   for mb in _parse_floats(args.budgets_mb, "--budgets-mb")]
+                   for mb in _parse_list(args.budgets_mb, "--budgets-mb", float)]
     methods = args.methods.split(",")
     unknown = [m for m in methods if m not in METHODS]
     if unknown:
@@ -326,7 +319,7 @@ def cmd_sweep(args) -> int:
 def cmd_eval(args) -> int:
     matrix = _load_cache(_cache_dir(args))
     oracle = load_oracle(args.model, eval_start=args.eval_start, eval_count=args.eval_count)
-    bits = _parse_ints(args.assignment, "--assignment")
+    bits = _parse_list(args.assignment, "--assignment")
     if len(bits) != len(oracle.layers):
         raise ValueError(
             f"assignment covers {len(bits)} layers, oracle has {len(oracle.layers)}")

@@ -260,10 +260,6 @@ def make_moons(seed: int, count: int, *, start: int = 0, noise: float = 0.15):
     return _moons_stream(seed, _TAG_TRAIN_DATA, start, count, noise)
 
 
-def _eval_stream(model: ToyModel, start: int, count: int):
-    return _moons_stream(model.seed, _TAG_EVAL_DATA, start, count, model.noise)
-
-
 def _forward(weights, biases, h, start=0):
     """Outputs of layers ``start`` on, given ``h``, the input to ``start``.
 
@@ -334,7 +330,8 @@ class ToyClassifierOracle(LossOracle):
         if eval_count < 1:
             raise ValueError("evaluation window must contain at least one sample")
         self.model = model
-        self._eval_x, self._eval_y = _eval_stream(model, eval_start, eval_count)
+        self._eval_x, self._eval_y = _moons_stream(
+            model.seed, _TAG_EVAL_DATA, eval_start, eval_count, model.noise)
         self.layers = [LayerSpec(f"fc{i}", w.ravel()) for i, w in enumerate(model.weights)]
         self._trace = None
 

@@ -125,14 +125,19 @@ def quantize(w, bits: int, scale: float) -> np.ndarray:
     """
     _check_bits_scale(bits, scale)
     w = np.asarray(w, dtype=np.float64)
-    q = np.divide(w, scale, out=np.empty(w.shape))
+    return _quantize_into(np.empty(w.shape), w, scale, bits)
+
+
+def _quantize_into(out: np.ndarray, w: np.ndarray, scale, bits: int) -> np.ndarray:
+    """Write ``quantize``'s map of ``w`` at ``scale``, a scalar or a column, into ``out``."""
+    np.divide(w, scale, out=out)
     # np.rint is round-half-to-even, which keeps results platform-stable.
-    np.rint(q, out=q)
+    np.rint(out, out=out)
     # Clipping to nonzero integer bounds: the bytes np.clip gives, NaN included.
-    np.maximum(q, -(2 ** (bits - 1)), out=q)
-    np.minimum(q, 2 ** (bits - 1) - 1, out=q)
-    np.multiply(q, scale, out=q)
-    return q
+    np.maximum(out, -(2 ** (bits - 1)), out=out)
+    np.minimum(out, 2 ** (bits - 1) - 1, out=out)
+    np.multiply(out, scale, out=out)
+    return out
 
 
 def _candidate_scales(amax: float, bits: int) -> np.ndarray:
@@ -169,15 +174,12 @@ def _candidate_scales(amax: float, bits: int) -> np.ndarray:
 
 
 def _exact_mse(w: np.ndarray, cands: np.ndarray, bits: int) -> np.ndarray:
-    """``mean((clip(round(w / c), lo, hi) * c - w) ** 2)`` for every candidate ``c``."""
-    lo = -(2 ** (bits - 1))
-    hi = 2 ** (bits - 1) - 1
+    """``mean((quantize(w, bits, c) - w) ** 2)`` for every candidate ``c``."""
     rows = min(len(cands), max(1, _CALIBRATE_CHUNK // w.size))
-    # Every chunk is scored in place in one buffer: the same IEEE operations
-    # on the same contiguous rows as the expression above, without its
-    # temporaries.  The mean is the sum and the one division np.mean runs
-    # for float64.  A row's mean depends only on that row, so any subset of
-    # the candidates scores exactly as it does inside the full grid.
+    # Every chunk is scored in place in one buffer, by quantize's own map.
+    # The mean is the sum and the one division np.mean runs for float64.  A
+    # row's mean depends only on that row, so any subset of the candidates
+    # scores exactly as it does inside the full grid.
     buf = np.empty((rows, w.size))
     mse = np.empty(len(cands))
     # Candidates far below max|w| / 2**(bits-1) can overflow in the divide
@@ -185,12 +187,7 @@ def _exact_mse(w: np.ndarray, cands: np.ndarray, bits: int) -> np.ndarray:
     with np.errstate(over="ignore"):
         for start in range(0, len(cands), rows):
             c = cands[start:start + rows, None]
-            q = buf[:len(c)]
-            np.divide(w, c, out=q)
-            np.rint(q, out=q)  # what np.round runs for decimals=0
-            np.maximum(q, lo, out=q)  # np.clip's bytes, as in quantize
-            np.minimum(q, hi, out=q)
-            np.multiply(q, c, out=q)
+            q = _quantize_into(buf[:len(c)], w, c, bits)
             np.subtract(q, w, out=q)
             np.square(q, out=q)
             np.add.reduce(q, axis=1, out=mse[start:start + len(c)])

@@ -17,6 +17,7 @@ both, and the measurement loop never fills them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +40,13 @@ CACHE_FORMAT = "mixprec-cache"
 CACHE_VERSION = 1
 
 
+def _bit_width(b) -> int:
+    """``b`` as an int; a width that is not a whole number raises ``ValueError``."""
+    if not -math.inf < b < math.inf or int(b) != b:
+        raise ValueError(f"bit-widths must be integers, got {b!r}")
+    return int(b)
+
+
 @dataclass(frozen=True)
 class BitMenu:
     """Sorted distinct candidate bit-widths, each at least 2."""
@@ -46,7 +54,7 @@ class BitMenu:
     bits: tuple[int, ...]
 
     def __init__(self, bits):
-        values = sorted(set(int(b) for b in bits))
+        values = sorted(set(_bit_width(b) for b in bits))
         if not values:
             raise ValueError("bit menu must not be empty")
         if any(b < 2 for b in values):

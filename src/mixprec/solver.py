@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sensitivity import BitMenu, SensitivityMatrix, _mask_couplings
+from .sensitivity import BitMenu, SensitivityMatrix, _bit_width, _mask_couplings
 from .spectra import _psd_shift, _require_symmetric
 
 __all__ = [
@@ -111,7 +111,7 @@ class BitAssignment:
     bits: tuple[int, ...]
 
     def __init__(self, bits):
-        values = tuple(int(b) for b in bits)
+        values = tuple(_bit_width(b) for b in bits)
         if not values:
             raise ValueError("assignment must cover at least one layer")
         object.__setattr__(self, "bits", values)
@@ -131,13 +131,16 @@ class SizeBudget:
     limit_bits: int
 
     def __post_init__(self):
-        if int(self.limit_bits) != self.limit_bits or self.limit_bits < 0:
+        if not 0 <= self.limit_bits < math.inf or int(self.limit_bits) != self.limit_bits:
             raise ValueError(f"budget must be a non-negative bit count, got {self.limit_bits!r}")
         object.__setattr__(self, "limit_bits", int(self.limit_bits))
 
     @classmethod
     def from_megabytes(cls, megabytes: float) -> "SizeBudget":
-        return cls(int(math.floor(megabytes * BITS_PER_MB)))
+        bits = megabytes * BITS_PER_MB
+        if not math.isfinite(bits):
+            raise ValueError(f"budget must be a finite number of megabytes, got {megabytes!r}")
+        return cls(int(math.floor(bits)))
 
 
 @dataclass

@@ -72,6 +72,12 @@ def test_measure_menu_mismatch_is_validation_error(quad_setup):
                            "--cache-dir", str(cache), "--batch-size", "32")
     assert code == 5
     assert "menu" in err
+    fresh = cache.parent / "fresh"
+    for arg, named in (("--batch-size=0", "--batch-size"), ("--first-batch=-1", "indices")):
+        code, _, err = run_cli("measure", "--model", str(model), "--bits", "2,4,8",
+                               "--cache-dir", str(fresh), "--batches", "2", arg)
+        assert code == 5 and named in err
+    assert not fresh.exists()
 
 
 def test_measure_skipped_batch_must_match_model_layer_sizes(quad_setup, tmp_path):
@@ -229,6 +235,9 @@ def test_solve_budget_in_megabytes(quad_setup):
                            "--budget-mb", str(45 / BITS_PER_MB))
     assert code == 0
     assert parse_kv(out)["budget_bits"] == "45"
+    for value in ("inf", "-inf", "nan"):
+        code, _, err = run_cli("solve", "--cache-dir", str(cache), f"--budget-mb={value}")
+        assert code == 5 and value in err
 
 
 def test_solve_record_timing(quad_setup, tmp_path):
@@ -481,6 +490,15 @@ def test_sweep_validation(quad_setup, tmp_path):
                          "--budgets-bits", "20", "--budgets-mb", "1",
                          "--out", str(out_csv))
     assert code == 5
+    for budgets, named in (("1,inf", "inf"), ("1,x", "1,x")):
+        code, _, err = run_cli("sweep", "--cache-dir", str(cache),
+                               "--budgets-mb", budgets, "--out", str(out_csv))
+        assert code == 5 and named in err
+    for partition, named in (("0-1;", "empty block"), ("3-", "'3-'")):
+        code, _, err = run_cli("sweep", "--cache-dir", str(cache), "--budgets-bits", "45",
+                               "--block-partition", partition, "--out", str(out_csv))
+        assert code == 5 and named in err
+    assert not out_csv.exists()
 
 
 def test_sweep_block_method_with_partition(quad_setup, tmp_path):

@@ -36,6 +36,9 @@ def test_menu_validation():
         BitMenu([])
     with pytest.raises(ValueError):
         BitMenu([1, 4])
+    with pytest.raises(ValueError, match="4.7"):
+        BitMenu((2, 4.7))
+    assert BitMenu((2.0, 4.0)).bits == (2, 4)
     with pytest.raises(ValueError):
         BitMenu((2, 4)).index(3)
 

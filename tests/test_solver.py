@@ -83,6 +83,8 @@ def test_assignment_size_arithmetic():
         a.size_bits((10, 1))
     with pytest.raises(ValueError):
         BitAssignment(())
+    with pytest.raises(ValueError, match="4.9"):
+        BitAssignment((4.9, 2))
 
 
 def test_budget_units():
@@ -94,6 +96,11 @@ def test_budget_units():
         SizeBudget(-1)
     with pytest.raises(ValueError):
         SizeBudget(2.5)
+    for value in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match=repr(value)):
+            SizeBudget(value)
+        with pytest.raises(ValueError, match=repr(value)):
+            SizeBudget.from_megabytes(value)
 
 
 def test_objective_hand_computation():
