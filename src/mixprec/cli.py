@@ -248,7 +248,7 @@ def cmd_measure(args) -> int:
 def cmd_import_matrix(args) -> int:
     menu = BitMenu(_parse_list(args.bits, "--bits"))
     sizes = _parse_list(args.sizes, "--sizes")
-    cache_dir = _cache_dir(args, create=True)
+    cache_dir = _cache_dir(args)
     dense = np.loadtxt(args.dense, dtype=np.float64, ndmin=2)
     dim = len(menu) * len(sizes)
     if dense.shape != (dim, dim):
@@ -262,6 +262,8 @@ def cmd_import_matrix(args) -> int:
     if not matrix.has_block_zeros():
         raise ValueError(
             f"{args.dense}: same-layer cross-bit entries must be zero in cached matrices")
+    # Created only once the matrix passed every check.
+    os.makedirs(cache_dir, exist_ok=True)
     path = _batch_path(cache_dir, 0)
     save_matrix(matrix, path)
     print(f"imported={path}")

@@ -26,6 +26,7 @@ little-endian payload.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -37,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._files import write_atomic
-from .quantizer import LayerSpec, _read_only
+from .quantizer import LayerSpec, _frozen, _read_only
 from .sensitivity import _mask_couplings
 from .spectra import _require_finite
 
@@ -260,23 +261,37 @@ def make_moons(seed: int, count: int, *, start: int = 0, noise: float = 0.15):
     return _moons_stream(seed, _TAG_TRAIN_DATA, start, count, noise)
 
 
-def _forward(weights, biases, h, start=0):
+def _forward(weights, biases, h, start=0, out=None):
     """Outputs of layers ``start`` on, given ``h``, the input to ``start``.
 
     Returns the activation after each hidden layer from ``start`` on, then
     the logits.  This is the only forward pass, so a pass resumed from a
     stored activation runs exactly the operations of a full one.  Each
-    hidden step works in the one array its product makes, with the IEEE
-    operations of ``np.tanh(h @ w + b)``; ``h`` itself is never written.
+    layer's output is ``np.matmul(h, w)``, then ``+= b``, then, for a
+    hidden layer, ``np.tanh`` in place: the IEEE operations of
+    ``np.tanh(h @ w + b)`` and ``h @ w + b``.  ``h`` itself is never
+    written.
+
+    ``out``, when given, holds one buffer per layer, each of the shape
+    that layer's output has; layer ``k`` then writes into ``out[k]``
+    instead of a new array, and the buffers are returned.  Only the
+    destination changes, never a byte of the result.  The input to
+    ``start`` may be ``out[start - 1]``, as it is when a pass resumes.
     """
+    if out is None:
+        out = [None] * len(weights)
     outputs = []
-    for w, b in zip(weights[start:-1], biases[start:-1]):
-        h = h @ w
-        h += b
-        np.tanh(h, out=h)
+    for k in range(start, len(weights)):
+        h = np.matmul(h, weights[k], out=out[k])
+        h += biases[k]
+        if k < len(weights) - 1:
+            np.tanh(h, out=h)
         outputs.append(h)
-    outputs.append(h @ weights[-1] + biases[-1])
     return outputs
+
+
+# Leading elements compared before a whole layer is.
+_PEEK = 8
 
 
 def _shared_prefix(weights, traced) -> int:
@@ -284,10 +299,14 @@ def _shared_prefix(weights, traced) -> int:
 
     Two layers match when they are the same array or bitwise equal,
     compared as ``uint64`` so that ``-0.0`` against ``0.0`` and NaNs stay
-    exact.
+    exact.  The first ``_PEEK`` elements are compared first, so a layer
+    that differs there is rejected without reading the rest.
     """
     for k, (a, b) in enumerate(zip(weights, traced)):
-        if a is not b and not np.array_equal(a.view(np.uint64), b.view(np.uint64)):
+        if a is b:
+            continue
+        a, b = a.view(np.uint64), b.view(np.uint64)
+        if not (np.array_equal(a.flat[:_PEEK], b.flat[:_PEEK]) and np.array_equal(a, b)):
             return k
     return len(weights)
 
@@ -312,12 +331,23 @@ class ToyClassifierOracle(LossOracle):
     stay at full precision.
 
     ``evaluate`` keeps one trace, of the latest call: every layer's
-    effective weights and the input to every layer.  A call starts its
-    forward pass at the first layer whose effective weights differ from
-    the trace's, from the trace's stored input, so it recomputes only the
-    layers from the first one that changed.  The trace decides where a
-    pass starts, never its result: every call returns what a fresh oracle
-    would, in any call order.
+    effective weights and, for each perturbed layer, the perturbation they
+    were built from when that array is read-only through its whole base
+    chain (``layer_perturbations``' tables are).  The activations live in
+    buffers allocated once per oracle, by its first evaluation: one per
+    hidden layer plus the logits, which each pass overwrites from the
+    layer it starts at.  A call
+    starts its forward pass at the first layer whose effective weights
+    differ from the trace's, from the buffer holding that layer's input,
+    so it recomputes only the layers from the first one that changed.
+
+    A layer whose perturbation is the very read-only array the trace
+    holds for it takes the trace's weights without adding again, and
+    matches by identity.  Every other layer is rebuilt and matched
+    bitwise, so zero perturbations still resume and writable arrays,
+    even ones changed in place between calls, stay correct.  The trace
+    decides where a pass starts, never its result: every call returns
+    what a fresh oracle would, in any call order.
 
     ``build_matrix`` orders its calls for this trace: singles run from the
     last layer to the first, each followed by its pairs over later layers,
@@ -339,19 +369,32 @@ class ToyClassifierOracle(LossOracle):
     def sample_count(self) -> int:
         return len(self._eval_y)
 
+    @functools.cached_property
+    def _outputs(self) -> list[np.ndarray]:
+        """One buffer per layer's output, allocated by the first evaluation,
+        when an oracle measured before this one has usually been freed."""
+        return [np.empty((self.sample_count, w.shape[1])) for w in self.model.weights]
+
     def evaluate(self, perturbations) -> float:
         checked = self._check_perturbations(perturbations)
         weights = list(self.model.weights)
+        sources = [None] * len(weights)
+        trace = self._trace
         for idx, vec in checked.items():
+            if _frozen(vec):
+                sources[idx] = vec
+                if trace is not None and trace[1][idx] is vec:
+                    weights[idx] = trace[0][idx]
+                    continue
             weights[idx] = weights[idx] + vec.reshape(weights[idx].shape)
-        # The output layer always runs: a trace stores inputs, not logits.
-        start, inputs = 0, [self._eval_x]
-        if self._trace is not None:
-            start = min(_shared_prefix(weights, self._trace[0]), len(weights) - 1)
-            inputs = self._trace[1][:start + 1]
-            self._trace = None  # frees the activations this pass replaces
-        *hidden, logits = _forward(weights, self.model.biases, inputs[-1], start)
-        self._trace = (weights, inputs + hidden)
+        # The output layer always runs: the trace vouches for inputs only.
+        start = 0
+        if trace is not None:
+            start = min(_shared_prefix(weights, trace[0]), len(weights) - 1)
+        h = self._outputs[start - 1] if start else self._eval_x
+        self._trace = None  # the buffers are not a trace until the pass completes
+        logits = _forward(weights, self.model.biases, h, start, self._outputs)[-1]
+        self._trace = (weights, sources)
         return _cross_entropy(logits, self._eval_y)[0]
 
 
@@ -402,6 +445,10 @@ def train_toy(seed: int, epochs: int = 2000, *, depth: int = 8, hidden: int = 16
         p -= lr * (first / (1 - b1 ** t)) / (sqrt(second / (1 - b2 ** t)) + eps)
 
     so the result is bit for bit that of one array per parameter.
+
+    The activations, the tanh slopes ``1 - a ** 2`` and the deltas the
+    backward pass carries down are buffers allocated once per call, one
+    per layer, which every step overwrites through ``out=``.
     """
     if epochs < 1:
         raise ValueError("epochs must be >= 1")
@@ -423,9 +470,12 @@ def train_toy(seed: int, epochs: int = 2000, *, depth: int = 8, hidden: int = 16
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     onehot = np.eye(2)[y]
     n = len(y)
+    outputs = [np.empty((n, w.shape[1])) for w in weights]
+    acts = [x] + outputs[:-1]
+    slopes = [np.empty_like(a) for a in outputs[:-1]]
+    deltas = [np.empty_like(a) for a in outputs[:-1]]
     for step in range(1, epochs + 1):
-        *hidden, logits = _forward(weights, biases, x)
-        acts = [x] + hidden
+        logits = _forward(weights, biases, x, out=outputs)[-1]
         loss, d, sums = _cross_entropy(logits, y)
         if loss <= loss_target:
             break
@@ -436,9 +486,9 @@ def train_toy(seed: int, epochs: int = 2000, *, depth: int = 8, hidden: int = 16
             np.matmul(acts[i].T, d, out=grad_w[i])
             np.sum(d, axis=0, out=grad_b[i])
             if i > 0:
-                slope = np.square(acts[i])
+                slope = np.square(acts[i], out=slopes[i - 1])
                 np.subtract(1.0, slope, out=slope)
-                d = d @ weights[i].T
+                d = np.matmul(d, weights[i].T, out=deltas[i - 1])
                 d *= slope
         first *= beta1
         np.multiply(1.0 - beta1, grads, out=s1)

@@ -70,6 +70,19 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _frozen(a) -> bool:
+    """True when ``a`` and every array it is a view of are read-only, down
+    to one that owns its memory, as ``_read_only`` leaves them: no name
+    can then change its values."""
+    while isinstance(a, np.ndarray):
+        if a.flags.writeable:
+            return False
+        if a.base is None:
+            return True
+        a = a.base
+    return False
+
+
 @dataclass(frozen=True, eq=False)
 class LayerSpec:
     """A named flat weight vector; the unit of bit-width assignment.

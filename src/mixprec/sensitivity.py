@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._files import write_atomic
-from .quantizer import perturbation
+from .quantizer import _read_only, perturbation
 from .spectra import _require_finite
 
 __all__ = [
@@ -40,11 +40,17 @@ CACHE_FORMAT = "mixprec-cache"
 CACHE_VERSION = 1
 
 
-def _bit_width(b) -> int:
-    """``b`` as an int; a width that is not a whole number raises ``ValueError``."""
-    if not -math.inf < b < math.inf or int(b) != b:
-        raise ValueError(f"bit-widths must be integers, got {b!r}")
-    return int(b)
+def _bit_widths(bits) -> list[int]:
+    """``bits`` as ints, in order; a width that is not a whole number of at
+    least 2 raises ``ValueError``."""
+    values = []
+    for b in bits:
+        if not -math.inf < b < math.inf or int(b) != b:
+            raise ValueError(f"bit-widths must be integers, got {b!r}")
+        values.append(int(b))
+    if any(b < 2 for b in values):
+        raise ValueError(f"bit-widths must be >= 2, got {values}")
+    return values
 
 
 @dataclass(frozen=True)
@@ -54,11 +60,9 @@ class BitMenu:
     bits: tuple[int, ...]
 
     def __init__(self, bits):
-        values = sorted(set(_bit_width(b) for b in bits))
+        values = sorted(set(_bit_widths(bits)))
         if not values:
             raise ValueError("bit menu must not be empty")
-        if any(b < 2 for b in values):
-            raise ValueError(f"bit-widths must be >= 2, got {values}")
         object.__setattr__(self, "bits", tuple(values))
 
     def __len__(self) -> int:
@@ -140,10 +144,13 @@ def layer_perturbations(layers, menu) -> list[list[np.ndarray]]:
 
     Row ``i`` holds layer ``i``'s perturbation at each bit-width of the
     sorted menu.  The values depend only on the weights and the menu, so
-    one table serves every evaluation batch of the same model.
+    one table serves every evaluation batch of the same model.  Every
+    array is read-only, as ``_read_only`` leaves it, so an oracle may
+    trust one it has seen before by identity: ``ToyClassifierOracle``
+    reuses the weights it built from it without adding or comparing again.
     """
     menu = BitMenu(menu)
-    return [[perturbation(layer, b) for b in menu] for layer in layers]
+    return [[_read_only(perturbation(layer, b)) for b in menu] for layer in layers]
 
 
 def _check_deltas(deltas, layers, nb: int) -> None:

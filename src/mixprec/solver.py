@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sensitivity import BitMenu, SensitivityMatrix, _bit_width, _mask_couplings
+from .sensitivity import BitMenu, SensitivityMatrix, _bit_widths, _mask_couplings
 from .spectra import _psd_shift, _require_symmetric
 
 __all__ = [
@@ -106,12 +106,13 @@ class SearchSpaceError(SolverError):
 
 @dataclass(frozen=True)
 class BitAssignment:
-    """One menu bit-width per layer."""
+    """One menu bit-width per layer, each a whole number of at least 2, as
+    in ``BitMenu``."""
 
     bits: tuple[int, ...]
 
     def __init__(self, bits):
-        values = tuple(_bit_width(b) for b in bits)
+        values = tuple(_bit_widths(bits))
         if not values:
             raise ValueError("assignment must cover at least one layer")
         object.__setattr__(self, "bits", values)

@@ -399,6 +399,12 @@ def test_import_matrix_validation(tmp_path):
                          "--bits", "2,32", "--sizes", "1,1,1,1",
                          "--cache-dir", str(cache))
     assert code == 4
+    # a rejected file leaves no cache directory behind
+    np.savetxt(dense, np.zeros((1, 2)))
+    code, _, _ = run_cli("import-matrix", "--dense", str(dense), "--bits", "2,4",
+                         "--sizes", "1,1", "--cache-dir", str(tmp_path / "newcache"))
+    assert code == 5
+    assert not cache.exists() and not (tmp_path / "newcache").exists()
 
 
 def test_import_matrix_rejects_same_layer_cross_bit_entries(tmp_path):

@@ -342,11 +342,76 @@ def test_toy_build_matrix_matches_a_fresh_oracle_per_call(request, model_name,
     oracle = ToyClassifierOracle(request.getfixturevalue(model_name), eval_count=32)
     menu = BitMenu((2, 4, 8))
     table = layer_perturbations(oracle.layers, menu)
-    reused = build_matrix(oracle, menu, deltas=table,
-                          include_same_layer_cross=same_layer_cross)
     fresh = build_matrix(_FreshOraclePerCall(oracle), menu, deltas=table,
                          include_same_layer_cross=same_layer_cross)
-    assert reused.entries.tobytes() == fresh.entries.tobytes()
+    # The read-only table is reused by identity; writable copies of it go
+    # through the bitwise comparison instead.
+    writable = [[vec.copy() for vec in row] for row in table]
+    for deltas in (table, writable):
+        reused = build_matrix(oracle, menu, deltas=deltas,
+                              include_same_layer_cross=same_layer_cross)
+        assert reused.entries.tobytes() == fresh.entries.tobytes()
+
+
+def test_toy_trusts_by_identity_only_arrays_that_cannot_change(small_toy):
+    oracle = ToyClassifierOracle(small_toy, eval_count=32)
+    rng = np.random.default_rng(5)
+    size = small_toy.weights[1].size
+    writable, base, frozen_later = (rng.normal(0.0, 0.05, size) for _ in range(3))
+    view = base[:]
+    view.setflags(write=False)  # read-only, but its base is not
+    # Each case: the array passed, and the array written between its two calls.
+    for vec, target in [(writable, writable), (view, base), (frozen_later, frozen_later)]:
+        before = oracle.evaluate({1: vec})
+        assert before == _fresh_loss(small_toy, {1: vec})
+        target[::3] += 0.01
+        if vec is frozen_later:
+            vec.setflags(write=False)  # read-only now, but written since it was traced
+        after = oracle.evaluate({1: vec})
+        assert after != before
+        assert after == _fresh_loss(small_toy, {1: vec})
+
+
+def _trace_work(model, table, menu):
+    """Effective-weight rebuilds and the outcomes of full-length bitwise
+    layer comparisons over one toy ``build_matrix``."""
+    oracle = ToyClassifierOracle(model, eval_count=32)
+    compares, rebuilds = [], 0
+    array_equal, evaluate = np.array_equal, oracle.evaluate
+
+    def counting(a, b, *args, **kwargs):
+        same = array_equal(a, b, *args, **kwargs)
+        if a.dtype == np.uint64 and a.shape == b.shape and a.ndim == 2:
+            compares.append(same)
+        return same
+
+    def watching(perturbations):
+        nonlocal rebuilds
+        before = oracle._trace[0] if oracle._trace else model.weights
+        loss = evaluate(perturbations)
+        rebuilds += sum(a is not b and a is not w
+                        for a, b, w in zip(oracle._trace[0], before, model.weights))
+        return loss
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(np, "array_equal", counting)
+        patch.setattr(oracle, "evaluate", watching)
+        build_matrix(oracle, menu, deltas=table)
+    return rebuilds, compares
+
+
+def test_toy_build_matrix_rebuilds_one_layer_a_call_and_compares_none_in_full(small_toy):
+    menu = BitMenu((2, 4, 8))
+    table = layer_perturbations(ToyClassifierOracle(small_toy, eval_count=8).layers, menu)
+    calls = 1 + 4 * 3 + 6 * 3 * 3
+    # Each call after the baseline builds the one layer it newly perturbs;
+    # every layer before it matches by identity and the changed layer is
+    # rejected on its leading elements.
+    assert _trace_work(small_toy, table, menu) == (calls - 1, [])
+    # Writable copies rebuild both layers of a pair and compare the first
+    # in full, the cost the read-only table removes.
+    writable = [[vec.copy() for vec in row] for row in table]
+    assert _trace_work(small_toy, writable, menu) == (4 * 3 + 2 * 6 * 3 * 3, [True] * 54)
 
 
 def _counting_forward(monkeypatch):
@@ -355,9 +420,9 @@ def _counting_forward(monkeypatch):
     starts = []
     forward = oracles._forward
 
-    def counting(weights, biases, h, start=0):
+    def counting(weights, biases, h, start=0, out=None):
         starts.append(start)
-        return forward(weights, biases, h, start)
+        return forward(weights, biases, h, start, out)
 
     monkeypatch.setattr(oracles, "_forward", counting)
     return starts
@@ -428,6 +493,17 @@ def test_forward_matches_the_out_of_place_chain_byte_for_byte():
     assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
     resumed = oracles._forward(weights, biases, want[1], start=2)
     assert [a.tobytes() for a in resumed] == [a.tobytes() for a in want[2:]]
+    # into buffers: the same bytes, written where asked
+    buffers = [np.full_like(a, np.nan) for a in want]
+    got = oracles._forward(weights, biases, x, out=buffers)
+    assert all(a is b for a, b in zip(got, buffers))
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+    # a resumed pass reads its input from the buffers and rewrites only later ones
+    for a in buffers[2:]:
+        a.fill(np.nan)
+    resumed = oracles._forward(weights, biases, buffers[1], start=2, out=buffers)
+    assert all(a is b for a, b in zip(resumed, buffers[2:]))
+    assert [a.tobytes() for a in buffers] == [a.tobytes() for a in want]
     assert x.tobytes() == kept.tobytes()
 
 
@@ -547,6 +623,9 @@ def test_container_error_reporting(tmp_path):
     path.write_bytes(b"MIXPREC1" + (5).to_bytes(4, "little") + b"{###}")
     with pytest.raises(FileFormatError):
         load_oracle(path)
+    path.write_bytes(b"MIXPREC1" + (9).to_bytes(4, "little") + b"{}")
+    with pytest.raises(FileFormatError, match="truncated header$"):
+        load_oracle(path)
     import json
     blob = json.dumps({"format": 99}).encode()
     path.write_bytes(b"MIXPREC1" + len(blob).to_bytes(4, "little") + blob)
@@ -586,11 +665,28 @@ def test_ragged_payload_is_a_file_error(tmp_path, extra):
     assert "ragged.bin" in err
 
 
-def test_truncated_quadratic_payload(tmp_path):
+def test_truncated_quadratic_payload(tmp_path, monkeypatch):
     q = random_quadratic(4, [2, 2], 0.5)
     path = tmp_path / "quad.bin"
     save_oracle(q, path)
     blob = path.read_bytes()
     path.write_bytes(blob[:-8])
     with pytest.raises(FileFormatError):
+        load_oracle(path)
+    # a toy container whose payload does not fit its dims
+    toy = tmp_path / "toy.bin"
+    save_oracle(train_toy(1, epochs=2, depth=2, hidden=3, eval_count=8), toy)
+    toy.write_bytes(toy.read_bytes()[:-4])
+    with pytest.raises(FileFormatError, match="payload size does not match dims"):
+        load_oracle(toy)
+    # a file that ends before the size it reported when it was opened
+    path.write_bytes(blob)
+    fstat = os.fstat
+
+    def longer(fd):
+        st = fstat(fd)
+        return os.stat_result(st[:6] + (st.st_size + 8,) + st[7:])
+
+    monkeypatch.setattr(os, "fstat", longer)
+    with pytest.raises(FileFormatError, match="truncated payload"):
         load_oracle(path)

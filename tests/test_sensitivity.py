@@ -215,6 +215,18 @@ def test_build_matrix_uses_given_deltas(monkeypatch):
             build_matrix(oracle, menu, deltas=bad)
 
 
+def test_layer_perturbations_are_read_only():
+    oracle = random_quadratic(5, (3, 2, 4), 0.7)
+    table = layer_perturbations(oracle.layers, (8, 2, 4))
+    for layer, row in zip(oracle.layers, table):
+        for b, vec in zip((2, 4, 8), row):
+            assert vec.tobytes() == perturbation(layer, b).tobytes()
+            # read-only down to the array that owns the memory
+            assert quantizer._frozen(vec)
+            with pytest.raises(ValueError):
+                vec[0] = 0.0
+
+
 def test_build_matrix_rejects_a_non_finite_delta_before_any_evaluation():
     counter = CountingOracle(random_quadratic(5, (3, 2, 4), 0.7))
     menu = BitMenu((2, 4, 8))
@@ -347,6 +359,12 @@ def test_load_rejects_tampered_files(tmp_path):
         load_matrix(path)
     rewrite(good[:-1])
     with pytest.raises(ValueError):
+        load_matrix(path)
+    rewrite(good[:1] + ["layers 3"] + good[2:])
+    with pytest.raises(ValueError, match="layer count does not match sizes"):
+        load_matrix(path)
+    rewrite(good[:5] + ["entries 35"] + good[6:])
+    with pytest.raises(ValueError, match="wrong entry count 35"):
         load_matrix(path)
     swapped = good.copy()
     swapped[6], swapped[7] = swapped[7], swapped[6]

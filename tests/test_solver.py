@@ -85,6 +85,10 @@ def test_assignment_size_arithmetic():
         BitAssignment(())
     with pytest.raises(ValueError, match="4.9"):
         BitAssignment((4.9, 2))
+    for bad in [(0, -4), (2, 1)]:
+        for make in (BitAssignment, BitMenu):
+            with pytest.raises(ValueError, match=r"bit-widths must be >= 2, got \["):
+                make(bad)
 
 
 def test_budget_units():
@@ -123,6 +127,12 @@ def test_objective_raw_array_route():
         objective(m, BitAssignment((2, 2)))
     with pytest.raises(ValueError):
         objective(m, a, sizes=(9, 9, 9, 9))
+    with pytest.raises(ValueError, match="bit menu disagrees"):
+        objective(m, a, menu=(2, 4))
+    with pytest.raises(ValueError, match=r"entries must have shape \(8, 8\)"):
+        objective(m.entries[:6, :6], a, sizes=m.layer_sizes, menu=m.menu)
+    with pytest.raises(ValueError, match="a budget is required"):
+        solve_exhaustive(m, budget=None)
 
 
 # ---------------------------------------------------------------------------
