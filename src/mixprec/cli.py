@@ -117,19 +117,20 @@ def _batch_path(cache_dir: str, index: int) -> str:
     return os.path.join(cache_dir, f"batch-{index:06d}.txt")
 
 
+def _load_batch(path: str) -> SensitivityMatrix:
+    try:
+        return load_matrix(path)
+    except ValueError as exc:
+        # A cache file that does not parse is a file problem, not an
+        # argument problem.
+        raise FileFormatError(str(exc)) from None
+
+
 def _load_cache(cache_dir: str) -> SensitivityMatrix:
     paths = sorted(glob.glob(os.path.join(cache_dir, "batch-*.txt")))
     if not paths:
         raise FileNotFoundError(f"no batch-*.txt cache files under {cache_dir!r}")
-    parts = []
-    for path in paths:
-        try:
-            parts.append(load_matrix(path))
-        except ValueError as exc:
-            # A cache file that does not parse is a file problem, not an
-            # argument problem.
-            raise FileFormatError(str(exc)) from None
-    return merge_batches(parts)
+    return merge_batches([_load_batch(path) for path in paths])
 
 
 def _budget(args) -> SizeBudget:
@@ -217,7 +218,7 @@ def cmd_measure(args) -> int:
     for index in range(args.first_batch, args.first_batch + args.batches):
         path = _batch_path(cache_dir, index)
         if os.path.exists(path):
-            existing = load_matrix(path)
+            existing = _load_batch(path)
             if existing.menu.bits != menu.bits:
                 raise ValueError(
                     f"{path}: existing cache uses menu {existing.menu.bits}, asked for {menu.bits}")

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._files import write_atomic
-from .quantizer import LayerSpec, _frozen, _read_only
+from .quantizer import LayerSpec, _immutable, _read_only
 from .sensitivity import _mask_couplings
 from .spectra import _require_finite
 
@@ -118,6 +118,8 @@ class QuadraticOracle(LossOracle):
 
     def __init__(self, h, optimum, layer_sizes, *, baseline: float = 0.0,
                  sample_count: int = 1):
+        if int(sample_count) < 1:
+            raise ValueError(f"sample_count must be >= 1, got {sample_count}")
         sizes = tuple(int(s) for s in layer_sizes)
         dim = sum(sizes)
         h = np.asarray(h, dtype=np.float64)
@@ -290,27 +292,6 @@ def _forward(weights, biases, h, start=0, out=None):
     return outputs
 
 
-# Leading elements compared before a whole layer is.
-_PEEK = 8
-
-
-def _shared_prefix(weights, traced) -> int:
-    """Number of leading layers whose effective weights are the same.
-
-    Two layers match when they are the same array or bitwise equal,
-    compared as ``uint64`` so that ``-0.0`` against ``0.0`` and NaNs stay
-    exact.  The first ``_PEEK`` elements are compared first, so a layer
-    that differs there is rejected without reading the rest.
-    """
-    for k, (a, b) in enumerate(zip(weights, traced)):
-        if a is b:
-            continue
-        a, b = a.view(np.uint64), b.view(np.uint64)
-        if not (np.array_equal(a.flat[:_PEEK], b.flat[:_PEEK]) and np.array_equal(a, b)):
-            return k
-    return len(weights)
-
-
 def _cross_entropy(logits, labels):
     """Mean cross-entropy, with the exponentials of the row-max-shifted
     logits and their row sums, whose quotient is the softmax."""
@@ -330,24 +311,22 @@ class ToyClassifierOracle(LossOracle):
     Only the weight matrices are exposed as quantizable layers; biases
     stay at full precision.
 
-    ``evaluate`` keeps one trace, of the latest call: every layer's
-    effective weights and, for each perturbed layer, the perturbation they
-    were built from when that array is read-only through its whole base
-    chain (``layer_perturbations``' tables are).  The activations live in
-    buffers allocated once per oracle, by its first evaluation: one per
-    hidden layer plus the logits, which each pass overwrites from the
-    layer it starts at.  A call
-    starts its forward pass at the first layer whose effective weights
-    differ from the trace's, from the buffer holding that layer's input,
-    so it recomputes only the layers from the first one that changed.
+    ``evaluate`` keeps one trace, of the latest call: its perturbations and
+    every layer's effective weights.  The activations live in buffers
+    allocated once per oracle, by its first evaluation: one per hidden
+    layer plus the logits, which each pass overwrites from the layer it
+    starts at.
 
-    A layer whose perturbation is the very read-only array the trace
-    holds for it takes the trace's weights without adding again, and
-    matches by identity.  Every other layer is rebuilt and matched
-    bitwise, so zero perturbations still resume and writable arrays,
-    even ones changed in place between calls, stay correct.  The trace
-    decides where a pass starts, never its result: every call returns
-    what a fresh oracle would, in any call order.
+    A layer is shared with the trace when both calls leave it unperturbed,
+    or both perturb it with the same immutable array, a view of ``bytes``
+    as ``layer_perturbations`` hands out; it then keeps the trace's
+    weights object.  Every other layer is rebuilt.  A pass starts at the
+    first layer that is not shared, from the buffer holding its input, and
+    always runs the output layer.  The trace decides where a pass starts,
+    never its result: every call returns what a fresh oracle would, in any
+    call order.  That rests on the model's weights staying as read-only as
+    ``ToyModel`` leaves them; unlike an immutable array, their owner could
+    be made writable again.
 
     ``build_matrix`` orders its calls for this trace: singles run from the
     last layer to the first, each followed by its pairs over later layers,
@@ -378,23 +357,20 @@ class ToyClassifierOracle(LossOracle):
     def evaluate(self, perturbations) -> float:
         checked = self._check_perturbations(perturbations)
         weights = list(self.model.weights)
-        sources = [None] * len(weights)
         trace = self._trace
         for idx, vec in checked.items():
-            if _frozen(vec):
-                sources[idx] = vec
-                if trace is not None and trace[1][idx] is vec:
-                    weights[idx] = trace[0][idx]
-                    continue
-            weights[idx] = weights[idx] + vec.reshape(weights[idx].shape)
+            if trace is not None and trace[0].get(idx) is vec and _immutable(vec) is vec:
+                weights[idx] = trace[1][idx]
+            else:
+                weights[idx] = weights[idx] + vec.reshape(weights[idx].shape)
         # The output layer always runs: the trace vouches for inputs only.
         start = 0
-        if trace is not None:
-            start = min(_shared_prefix(weights, trace[0]), len(weights) - 1)
+        while trace is not None and start < len(weights) - 1 and weights[start] is trace[1][start]:
+            start += 1
         h = self._outputs[start - 1] if start else self._eval_x
         self._trace = None  # the buffers are not a trace until the pass completes
         logits = _forward(weights, self.model.biases, h, start, self._outputs)[-1]
-        self._trace = (weights, sources)
+        self._trace = (checked, weights)
         return _cross_entropy(logits, self._eval_y)[0]
 
 

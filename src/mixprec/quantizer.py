@@ -70,17 +70,20 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _frozen(a) -> bool:
-    """True when ``a`` and every array it is a view of are read-only, down
-    to one that owns its memory, as ``_read_only`` leaves them: no name
-    can then change its values."""
-    while isinstance(a, np.ndarray):
-        if a.flags.writeable:
-            return False
-        if a.base is None:
-            return True
-        a = a.base
-    return False
+def _immutable(a) -> np.ndarray:
+    """``a`` itself when it is a float64 array viewing, at any depth, a
+    ``bytes`` object, else such a copy of its values.
+
+    numpy will not make an array over ``bytes``, or any view of one,
+    writable again, so no name can ever change its values.
+    """
+    base = a
+    while isinstance(base, np.ndarray):
+        base = base.base
+    if isinstance(base, bytes) and a.dtype == np.float64:
+        return a
+    a = np.asarray(a, dtype=np.float64)
+    return np.frombuffer(a.tobytes(), dtype=np.float64).reshape(a.shape)
 
 
 @dataclass(frozen=True, eq=False)

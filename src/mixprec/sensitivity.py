@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._files import write_atomic
-from .quantizer import _read_only, perturbation
+from .quantizer import _immutable, perturbation
 from .spectra import _require_finite
 
 __all__ = [
@@ -145,12 +145,12 @@ def layer_perturbations(layers, menu) -> list[list[np.ndarray]]:
     Row ``i`` holds layer ``i``'s perturbation at each bit-width of the
     sorted menu.  The values depend only on the weights and the menu, so
     one table serves every evaluation batch of the same model.  Every
-    array is read-only, as ``_read_only`` leaves it, so an oracle may
+    array is immutable, a view of a ``bytes`` object, so an oracle may
     trust one it has seen before by identity: ``ToyClassifierOracle``
-    reuses the weights it built from it without adding or comparing again.
+    reuses the weights it built from it without adding again.
     """
     menu = BitMenu(menu)
-    return [[_read_only(perturbation(layer, b)) for b in menu] for layer in layers]
+    return [[_immutable(perturbation(layer, b)) for b in menu] for layer in layers]
 
 
 def _check_deltas(deltas, layers, nb: int) -> None:
@@ -198,7 +198,9 @@ def build_matrix(oracle, menu, *, include_same_layer_cross: bool = False,
     ``deltas`` is a table from :func:`layer_perturbations` for the same
     layers and menu; passing it skips the scale calibration, so batches
     of one model need to calibrate only once.  Without it the table is
-    computed here.
+    computed here.  A delta that is not immutable, as the table's are, is
+    copied into immutable memory once a call, so an oracle that trusts
+    arrays by identity resumes as far with any table.
     """
     menu = BitMenu(menu)
     layers = oracle.layers
@@ -211,7 +213,7 @@ def build_matrix(oracle, menu, *, include_same_layer_cross: bool = False,
         deltas = layer_perturbations(layers, menu)
     else:
         _check_deltas(deltas, layers, nb)
-    flat = [vec for row in deltas for vec in row]
+    flat = [_immutable(vec) for row in deltas for vec in row]
     baseline = oracle.evaluate({})
     g = np.zeros((dim, dim))
     for p in range(dim - 1, -1, -1):

@@ -80,6 +80,20 @@ def test_measure_menu_mismatch_is_validation_error(quad_setup):
     assert not fresh.exists()
 
 
+def test_measure_existing_batch_that_does_not_parse_is_a_file_error(quad_setup):
+    model, cache = quad_setup
+    path = cache / "batch-000000.txt"
+    text = path.read_text()
+    # a truncated header, then a file missing its last record
+    for broken in (text[:len("mixprec-cache")], text[:text.rindex("\n", 0, -1) + 1]):
+        path.write_text(broken)
+        code, _, err = run_cli("measure", "--model", str(model), "--bits", "2,4,8",
+                               "--cache-dir", str(cache), "--batch-size", "32")
+        assert code == 4 and "file error" in err
+        code, _, _ = run_cli("solve", "--cache-dir", str(cache), "--budget-bits", "45")
+        assert code == 4
+
+
 def test_measure_skipped_batch_must_match_model_layer_sizes(quad_setup, tmp_path):
     _, cache = quad_setup
     other = tmp_path / "other.bin"

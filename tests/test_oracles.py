@@ -50,6 +50,9 @@ def test_quadratic_validation():
         QuadraticOracle(np.zeros((2, 2)), [0.0], [1, 1])
     with pytest.raises(ValueError, match="layer 'layer1' has no weights"):
         QuadraticOracle(np.eye(2), [0.0, 0.0], [2, 0])
+    for count in (0, -3):
+        with pytest.raises(ValueError, match="sample_count must be >= 1"):
+            QuadraticOracle(np.eye(2), [0.0, 0.0], [1, 1], sample_count=count)
     q = QuadraticOracle(np.eye(2), [0.0, 0.0], [1, 1])
     with pytest.raises(ValueError):
         q.evaluate({2: [1.0]})
@@ -144,6 +147,8 @@ def test_random_quadratic_validation():
         random_quadratic(0, [2, 2], 1.1)
     with pytest.raises(ValueError):
         random_quadratic(0, [2, 2], 0.5, sample_ratio=0.0)
+    with pytest.raises(ValueError, match="sample_count must be >= 1"):
+        random_quadratic(0, [2, 2], 0.5, sample_count=0)
 
 
 # ---------------------------------------------------------------------------
@@ -344,8 +349,8 @@ def test_toy_build_matrix_matches_a_fresh_oracle_per_call(request, model_name,
     table = layer_perturbations(oracle.layers, menu)
     fresh = build_matrix(_FreshOraclePerCall(oracle), menu, deltas=table,
                          include_same_layer_cross=same_layer_cross)
-    # The read-only table is reused by identity; writable copies of it go
-    # through the bitwise comparison instead.
+    # The immutable table is reused by identity; build_matrix copies
+    # writable deltas into immutable memory first.
     writable = [[vec.copy() for vec in row] for row in table]
     for deltas in (table, writable):
         reused = build_matrix(oracle, menu, deltas=deltas,
@@ -372,32 +377,23 @@ def test_toy_trusts_by_identity_only_arrays_that_cannot_change(small_toy):
         assert after == _fresh_loss(small_toy, {1: vec})
 
 
-def _trace_work(model, table, menu):
-    """Effective-weight rebuilds and the outcomes of full-length bitwise
-    layer comparisons over one toy ``build_matrix``."""
+def _rebuilds(model, table, menu):
+    """Effective-weight rebuilds over one toy ``build_matrix``."""
     oracle = ToyClassifierOracle(model, eval_count=32)
-    compares, rebuilds = [], 0
-    array_equal, evaluate = np.array_equal, oracle.evaluate
-
-    def counting(a, b, *args, **kwargs):
-        same = array_equal(a, b, *args, **kwargs)
-        if a.dtype == np.uint64 and a.shape == b.shape and a.ndim == 2:
-            compares.append(same)
-        return same
+    rebuilds, evaluate = 0, oracle.evaluate
 
     def watching(perturbations):
         nonlocal rebuilds
-        before = oracle._trace[0] if oracle._trace else model.weights
+        before = oracle._trace[1] if oracle._trace else model.weights
         loss = evaluate(perturbations)
         rebuilds += sum(a is not b and a is not w
-                        for a, b, w in zip(oracle._trace[0], before, model.weights))
+                        for a, b, w in zip(oracle._trace[1], before, model.weights))
         return loss
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(np, "array_equal", counting)
         patch.setattr(oracle, "evaluate", watching)
         build_matrix(oracle, menu, deltas=table)
-    return rebuilds, compares
+    return rebuilds
 
 
 def test_toy_build_matrix_rebuilds_one_layer_a_call_and_compares_none_in_full(small_toy):
@@ -405,13 +401,12 @@ def test_toy_build_matrix_rebuilds_one_layer_a_call_and_compares_none_in_full(sm
     table = layer_perturbations(ToyClassifierOracle(small_toy, eval_count=8).layers, menu)
     calls = 1 + 4 * 3 + 6 * 3 * 3
     # Each call after the baseline builds the one layer it newly perturbs;
-    # every layer before it matches by identity and the changed layer is
-    # rejected on its leading elements.
-    assert _trace_work(small_toy, table, menu) == (calls - 1, [])
-    # Writable copies rebuild both layers of a pair and compare the first
-    # in full, the cost the read-only table removes.
+    # every other layer is the trace's by identity, and nothing is compared.
+    # build_matrix makes writable copies immutable once, so they rebuild
+    # no more than the table.
     writable = [[vec.copy() for vec in row] for row in table]
-    assert _trace_work(small_toy, writable, menu) == (4 * 3 + 2 * 6 * 3 * 3, [True] * 54)
+    for deltas in (table, writable):
+        assert _rebuilds(small_toy, deltas, menu) == calls - 1
 
 
 def _counting_forward(monkeypatch):
@@ -428,12 +423,14 @@ def _counting_forward(monkeypatch):
     return starts
 
 
-def _hidden_steps_per_layer(model, bits=(2, 4, 8)):
+def _hidden_steps_per_layer(model, bits=(2, 4, 8), writable=False):
     """Evaluation calls and runs of each hidden layer over one toy
-    ``build_matrix`` at the given menu."""
+    ``build_matrix`` at the given menu, from the table or its copies."""
     oracle = ToyClassifierOracle(model, eval_count=32)
     menu = BitMenu(bits)
     table = layer_perturbations(oracle.layers, menu)
+    if writable:
+        table = [[vec.copy() for vec in row] for row in table]
     with pytest.MonkeyPatch.context() as patch:
         starts = _counting_forward(patch)
         build_matrix(oracle, menu, deltas=table)
@@ -447,6 +444,11 @@ def test_toy_build_matrix_resumes_from_shared_prefixes(small_toy):
     # Full passes would run all 3 hidden layers in each of the 67 calls: 201.
     assert runs == [4, 16, 37]
     assert sum(runs) == 57
+
+
+def test_toy_build_matrix_resumes_as_far_from_writable_deltas(small_toy):
+    assert _hidden_steps_per_layer(small_toy, writable=True) == (1 + 4 * 3 + 6 * 3 * 3,
+                                                                 [4, 16, 37])
 
 
 @pytest.mark.parametrize("depth", [3, 5])
@@ -463,17 +465,37 @@ def test_toy_build_matrix_runs_each_hidden_layer_the_fewest_times(depth):
                         for k in range(depth - 1)], bits
 
 
-def test_toy_zero_perturbation_reruns_only_the_output_layer(small_toy, monkeypatch):
+def test_toy_zero_perturbation_resumes_from_its_own_layer(small_toy, monkeypatch):
     starts = _counting_forward(monkeypatch)
-    last = len(small_toy.weights) - 1
     for i, w in enumerate(small_toy.weights):
         oracle = ToyClassifierOracle(small_toy, eval_count=32)
         baseline = oracle.evaluate({})
-        # A zero perturbation leaves the layer bitwise equal to the model's,
-        # so only the output layer, which a trace never stores, runs again.
+        # A zero perturbation is not an immutable array the trace holds, so
+        # its layer is rebuilt and the pass starts there; the result is
+        # the baseline's, byte for byte.
         loss = oracle.evaluate({i: np.zeros(w.size)})
-        assert starts[-2:] == [0, last]
+        assert starts[-2:] == [0, i]
         assert np.float64(loss).tobytes() == np.float64(baseline).tobytes()
+
+
+def test_toy_interrupted_pass_leaves_no_trace(small_toy, monkeypatch):
+    oracle = ToyClassifierOracle(small_toy, eval_count=32)
+    table = layer_perturbations(oracle.layers, (2, 4, 8))
+    done = {2: table[2][0]}
+    before = oracle.evaluate(done)
+    forward = oracles._forward
+
+    def interrupted(*args, **kwargs):
+        forward(*args, **kwargs)  # the buffers now hold this pass's activations
+        raise RuntimeError("interrupted")
+
+    monkeypatch.setattr(oracles, "_forward", interrupted)
+    with pytest.raises(RuntimeError, match="interrupted"):
+        oracle.evaluate({0: table[0][0]})
+    monkeypatch.undo()
+    # The completed call's trace must not be resumed over the buffers the
+    # interrupted pass overwrote.
+    assert oracle.evaluate(done) == before == _fresh_loss(small_toy, done)
 
 
 def test_forward_matches_the_out_of_place_chain_byte_for_byte():
@@ -605,6 +627,14 @@ def test_load_window_slices_eval_stream(tmp_path):
     b = load_oracle(path, eval_start=32, eval_count=32)
     assert not np.array_equal(a._eval_x, b._eval_x)
     assert a.evaluate({}) != b.evaluate({})
+
+
+def test_load_rejects_an_empty_quadratic_window(tmp_path):
+    path = tmp_path / "quad.bin"
+    save_oracle(random_quadratic(4, [3, 2], 0.7), path)
+    assert load_oracle(path, eval_count=5).sample_count == 5
+    with pytest.raises(ValueError, match="sample_count must be >= 1"):
+        load_oracle(path, eval_count=0)
 
 
 def test_save_rejects_unknown_oracle(tmp_path):

@@ -221,10 +221,12 @@ def test_layer_perturbations_are_read_only():
     for layer, row in zip(oracle.layers, table):
         for b, vec in zip((2, 4, 8), row):
             assert vec.tobytes() == perturbation(layer, b).tobytes()
-            # read-only down to the array that owns the memory
-            assert quantizer._frozen(vec)
+            # a view of immutable memory, which numpy will not unlock
+            assert quantizer._immutable(vec) is vec
             with pytest.raises(ValueError):
                 vec[0] = 0.0
+            with pytest.raises(ValueError):
+                vec.setflags(write=True)
 
 
 def test_build_matrix_rejects_a_non_finite_delta_before_any_evaluation():
