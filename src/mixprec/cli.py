@@ -104,12 +104,10 @@ def _parse_partition(text: str) -> list[tuple[int, ...]]:
     return blocks
 
 
-def _cache_dir(args, *, create: bool = False) -> str:
+def _cache_dir(args) -> str:
     path = args.cache_dir or os.environ.get(CACHE_ENV_VAR)
     if not path:
         raise _UsageError(f"no cache directory: pass --cache-dir or set {CACHE_ENV_VAR}")
-    if create:
-        os.makedirs(path, exist_ok=True)
     return path
 
 
@@ -211,10 +209,15 @@ def cmd_measure(args) -> int:
         raise _UsageError("--batch-size must be >= 1")
     if args.batches < 0 or args.first_batch < 0:
         raise _UsageError("batch indices must be non-negative")
-    cache_dir = _cache_dir(args, create=True)
+    cache_dir = _cache_dir(args)
+    # Every batch measures the one model read here, over its own window.
+    oracle = load_oracle(args.model)
+    sizes = tuple(layer.count for layer in oracle.layers)
+    # Created only once the model loaded.
+    os.makedirs(cache_dir, exist_ok=True)
     # The perturbations depend only on the weights and the menu, so they are
     # calibrated once, on the first batch measured, and reused for the rest.
-    deltas = first = weights = sizes = None
+    deltas = None
     for index in range(args.first_batch, args.first_batch + args.batches):
         path = _batch_path(cache_dir, index)
         if os.path.exists(path):
@@ -222,26 +225,16 @@ def cmd_measure(args) -> int:
             if existing.menu.bits != menu.bits:
                 raise ValueError(
                     f"{path}: existing cache uses menu {existing.menu.bits}, asked for {menu.bits}")
-            if sizes is None:
-                sizes = tuple(layer.count for layer in load_oracle(args.model).layers)
             if existing.layer_sizes != sizes:
                 raise ValueError(f"{path}: existing cache has layer sizes "
                                  f"{existing.layer_sizes}, model has {sizes}")
             print(f"batch {index}: exists, skipped")
             continue
-        oracle = load_oracle(args.model, eval_start=index * args.batch_size,
-                             eval_count=args.batch_size)
+        # Rebinding drops the previous batch's oracle and its buffers.
+        oracle = oracle.with_window(index * args.batch_size, args.batch_size)
         if deltas is None:
             deltas = layer_perturbations(oracle.layers, menu)
-            first = index
-            weights = [layer.weights for layer in oracle.layers]
-            sizes = tuple(layer.count for layer in oracle.layers)
-        elif len(oracle.layers) != len(weights) or not all(
-                np.array_equal(layer.weights, w) for layer, w in zip(oracle.layers, weights)):
-            raise ValueError(
-                f"{args.model}: layer weights changed after batch {first} was measured")
-        matrix = build_matrix(oracle, menu, deltas=deltas)
-        save_matrix(matrix, path)
+        save_matrix(build_matrix(oracle, menu, deltas=deltas), path)
         print(f"batch {index}: wrote {path}")
     return EXIT_OK
 

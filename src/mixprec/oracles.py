@@ -1,10 +1,12 @@
 """Loss oracles the measurement pipeline runs against.
 
-Two implementations of one interface: an ordered list of layers plus
+Two implementations of one interface: an ordered list of layers,
 ``evaluate(perturbations)``, where ``perturbations`` maps layer index to
 an additive weight perturbation and the result is the mean loss over
-the oracle's fixed evaluation set.  Evaluation is pure: stored weights
-are never mutated and repeated calls return identical values.  That
+the oracle's fixed evaluation set, and ``with_window(eval_start,
+eval_count)``, the same model over another evaluation set.  Evaluation
+is pure: stored weights are never mutated and repeated calls return
+identical values.  That
 holds through ``ToyClassifierOracle``'s private cache of activations,
 which changes where a forward pass starts but never a result.
 
@@ -26,6 +28,7 @@ little-endian payload.
 
 from __future__ import annotations
 
+import copy
 import functools
 import itertools
 import json
@@ -149,6 +152,20 @@ class QuadraticOracle(LossOracle):
     def sample_count(self) -> int:
         return self._samples
 
+    def with_window(self, eval_start: int, eval_count: int | None) -> "QuadraticOracle":
+        """The same loss weighted as ``eval_count`` samples; ``eval_start``
+        does not matter, as the loss has no data, and ``None`` keeps the
+        count.  This oracle when the count is unchanged, else a copy that
+        shares its arrays."""
+        count = self._samples if eval_count is None else int(eval_count)
+        if count == self._samples:
+            return self
+        if count < 1:
+            raise ValueError(f"sample_count must be >= 1, got {eval_count}")
+        oracle = copy.copy(self)
+        oracle._samples = count
+        return oracle
+
     @property
     def curvature(self) -> np.ndarray:
         return self._h
@@ -212,6 +229,9 @@ def random_quadratic(seed: int, layer_sizes, rho: float, *,
 class ToyModel:
     """Trained fully-connected classifier weights plus dataset provenance.
 
+    The weights and biases are immutable, as ``quantizer._immutable``
+    makes them: arrays that already view a ``bytes`` object are kept, any
+    other is copied into one, so no name can change what a model computes.
     Models compare and hash by identity, as their arrays cannot be
     compared with ``==``.
     """
@@ -225,8 +245,7 @@ class ToyModel:
 
     def __post_init__(self):
         for name in ("weights", "biases"):
-            arrays = tuple(_read_only(np.asarray(a, dtype=np.float64))
-                           for a in getattr(self, name))
+            arrays = tuple(_immutable(a) for a in getattr(self, name))
             object.__setattr__(self, name, arrays)
         # The oracle checks the weights as it builds its layers.
         for i, bias in enumerate(self.biases):
@@ -322,11 +341,9 @@ class ToyClassifierOracle(LossOracle):
     as ``layer_perturbations`` hands out; it then keeps the trace's
     weights object.  Every other layer is rebuilt.  A pass starts at the
     first layer that is not shared, from the buffer holding its input, and
-    always runs the output layer.  The trace decides where a pass starts,
-    never its result: every call returns what a fresh oracle would, in any
-    call order.  That rests on the model's weights staying as read-only as
-    ``ToyModel`` leaves them; unlike an immutable array, their owner could
-    be made writable again.
+    always runs the output layer.  The model's weights are immutable too,
+    so the trace decides where a pass starts, never its result: every call
+    returns what a fresh oracle would, in any call order.
 
     ``build_matrix`` orders its calls for this trace: singles run from the
     last layer to the first, each followed by its pairs over later layers,
@@ -339,6 +356,7 @@ class ToyClassifierOracle(LossOracle):
         if eval_count < 1:
             raise ValueError("evaluation window must contain at least one sample")
         self.model = model
+        self._window = (eval_start, eval_count)
         self._eval_x, self._eval_y = _moons_stream(
             model.seed, _TAG_EVAL_DATA, eval_start, eval_count, model.noise)
         self.layers = [LayerSpec(f"fc{i}", w.ravel()) for i, w in enumerate(model.weights)]
@@ -347,6 +365,15 @@ class ToyClassifierOracle(LossOracle):
     @property
     def sample_count(self) -> int:
         return len(self._eval_y)
+
+    def with_window(self, eval_start: int, eval_count: int | None) -> "ToyClassifierOracle":
+        """The same model over samples ``eval_start`` on of the evaluation
+        stream, ``eval_count`` of them, or as many as here for ``None``.
+        This oracle when the window is unchanged, else a new one."""
+        window = (eval_start, self.sample_count if eval_count is None else eval_count)
+        if window == self._window:
+            return self
+        return ToyClassifierOracle(self.model, eval_start=window[0], eval_count=window[1])
 
     @functools.cached_property
     def _outputs(self) -> list[np.ndarray]:
@@ -424,7 +451,9 @@ def train_toy(seed: int, epochs: int = 2000, *, depth: int = 8, hidden: int = 16
 
     The activations, the tanh slopes ``1 - a ** 2`` and the deltas the
     backward pass carries down are buffers allocated once per call, one
-    per layer, which every step overwrites through ``out=``.
+    per layer, which every step overwrites through ``out=``.  The trained
+    ``params`` are frozen into immutable memory once, and the model's
+    arrays are views of that one buffer.
     """
     if epochs < 1:
         raise ValueError("epochs must be >= 1")
@@ -480,7 +509,8 @@ def train_toy(seed: int, epochs: int = 2000, *, depth: int = 8, hidden: int = 16
         s1 *= lr
         s1 /= s2
         params -= s1
-    model = ToyModel(dims=dims, weights=tuple(weights), biases=tuple(biases),
+    views = _flat_views(_immutable(params), shapes)
+    model = ToyModel(dims=dims, weights=tuple(views[:depth]), biases=tuple(views[depth:]),
                      seed=int(seed), noise=float(noise), train_count=int(train_count))
     return ToyClassifierOracle(model, eval_start=eval_start, eval_count=eval_count)
 
@@ -510,6 +540,8 @@ def _read_container(path) -> tuple[dict, np.ndarray]:
             header = json.loads(blob.decode("utf-8"))
         except ValueError as exc:
             raise FileFormatError(f"{path!r}: bad header JSON: {exc}") from None
+        if not isinstance(header, dict):
+            raise FileFormatError(f"{path!r}: header is not a JSON object")
         if header.get("format") != CONTAINER_VERSION:
             raise FileFormatError(f"{path!r}: unsupported container version")
         return header, _read_payload(fh, path)
@@ -566,29 +598,52 @@ def save_oracle(oracle, path) -> None:
         raise TypeError(f"cannot serialize oracle of type {type(oracle).__name__}")
 
 
+# What each kind of header field must hold.
+_FIELD_KINDS = {
+    "an integer": lambda v: type(v) is int,
+    "a finite number": lambda v: type(v) in (int, float) and math.isfinite(v),
+    "a list of positive integers":
+        lambda v: type(v) is list and all(type(d) is int and d > 0 for d in v),
+}
+
+
+def _header_field(header: dict, path, name: str, kind: str):
+    """``header[name]``; ``FileFormatError`` unless it is ``kind``, a key of
+    ``_FIELD_KINDS``."""
+    value = header.get(name)
+    if not _FIELD_KINDS[kind](value):
+        raise FileFormatError(f"{path!r}: header field {name!r} is missing or not {kind}")
+    return value
+
+
 def load_oracle(path, *, eval_start: int = 0, eval_count: int | None = None) -> LossOracle:
-    """Load a container file; the evaluation window is a load-time choice."""
+    """Load a container file over the evaluation window ``with_window``
+    sets: with ``eval_count=None``, 256 samples for a toy classifier and
+    one for a quadratic.  A toy model's parameters are frozen into
+    immutable memory once, as one buffer."""
     header, payload = _read_container(path)
     kind = header.get("kind")
     if kind == "toy_classifier":
-        dims = tuple(int(d) for d in header["dims"])
+        dims = tuple(_header_field(header, path, "dims", "a list of positive integers"))
         shapes = _param_shapes(dims)
         if sum(math.prod(shape) for shape in shapes) != payload.size:
             raise FileFormatError(f"{path!r}: payload size does not match dims")
-        views = _flat_views(payload, shapes)
+        views = _flat_views(_immutable(payload), shapes)
         depth = len(dims) - 1
         model = ToyModel(dims=dims, weights=tuple(views[:depth]), biases=tuple(views[depth:]),
-                         seed=int(header["seed"]), noise=float(header["noise"]),
-                         train_count=int(header["train_count"]))
-        return ToyClassifierOracle(model, eval_start=eval_start,
-                                   eval_count=256 if eval_count is None else eval_count)
-    if kind == "quadratic":
-        sizes = tuple(int(s) for s in header["layer_sizes"])
+                         seed=_header_field(header, path, "seed", "an integer"),
+                         noise=float(_header_field(header, path, "noise", "a finite number")),
+                         train_count=_header_field(header, path, "train_count", "an integer"))
+        oracle = ToyClassifierOracle(model)
+    elif kind == "quadratic":
+        sizes = tuple(_header_field(header, path, "layer_sizes", "a list of positive integers"))
         dim = sum(sizes)
         if payload.size != dim * dim + dim:
             raise FileFormatError(f"{path!r}: payload size does not match layer sizes")
         h = payload[:dim * dim].reshape(dim, dim)
         optimum = payload[dim * dim:]
-        return QuadraticOracle(h, optimum, sizes, baseline=float(header["baseline"]),
-                               sample_count=1 if eval_count is None else int(eval_count))
-    raise FileFormatError(f"{path!r}: unknown oracle kind {kind!r}")
+        baseline = _header_field(header, path, "baseline", "a finite number")
+        oracle = QuadraticOracle(h, optimum, sizes, baseline=baseline)
+    else:
+        raise FileFormatError(f"{path!r}: unknown oracle kind {kind!r}")
+    return oracle.with_window(eval_start, eval_count)

@@ -125,9 +125,22 @@ class LayerSpec:
         return int(self.weights.size)
 
 
+def _bit_widths(bits) -> list[int]:
+    """``bits`` as ints, in order; a width that is not a whole number of at
+    least 2 raises ``ValueError``."""
+    values = []
+    for b in bits:
+        if not -math.inf < b < math.inf or int(b) != b:
+            raise ValueError(f"bit-widths must be integers, got {b!r}")
+        values.append(int(b))
+    for b in values:  # a loop, as any() over a generator costs 3x for one width
+        if b < 2:
+            raise ValueError(f"bit-widths must be >= 2, got {values}")
+    return values
+
+
 def _check_bits_scale(bits: int, scale: float) -> None:
-    if int(bits) != bits or bits < 2:
-        raise ValueError(f"bits must be an integer >= 2, got {bits!r}")
+    _bit_widths([bits])
     if not scale > 0:
         raise ValueError(f"scale must be positive, got {scale!r}")
 
@@ -358,6 +371,7 @@ def perturbation(layer, bits: int) -> np.ndarray:
         w = layer.weights
     else:
         w = np.asarray(layer, dtype=np.float64).ravel()
-    delta = quantize(w, bits, calibrate_scale_mse(w, bits))
+    # calibrate_scale_mse has checked the width: quantize's map, unchecked.
+    delta = _quantize_into(np.empty(w.shape), w, calibrate_scale_mse(w, bits), bits)
     delta -= w
     return delta

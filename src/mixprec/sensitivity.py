@@ -17,13 +17,12 @@ both, and the measurement loop never fills them.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._files import write_atomic
-from .quantizer import _immutable, perturbation
+from .quantizer import _bit_widths, _immutable, perturbation
 from .spectra import _require_finite
 
 __all__ = [
@@ -38,19 +37,6 @@ __all__ = [
 
 CACHE_FORMAT = "mixprec-cache"
 CACHE_VERSION = 1
-
-
-def _bit_widths(bits) -> list[int]:
-    """``bits`` as ints, in order; a width that is not a whole number of at
-    least 2 raises ``ValueError``."""
-    values = []
-    for b in bits:
-        if not -math.inf < b < math.inf or int(b) != b:
-            raise ValueError(f"bit-widths must be integers, got {b!r}")
-        values.append(int(b))
-    if any(b < 2 for b in values):
-        raise ValueError(f"bit-widths must be >= 2, got {values}")
-    return values
 
 
 @dataclass(frozen=True)

@@ -45,7 +45,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sensitivity import BitMenu, SensitivityMatrix, _bit_widths, _mask_couplings
+from .quantizer import _bit_widths
+from .sensitivity import BitMenu, SensitivityMatrix, _mask_couplings
 from .spectra import _psd_shift, _require_symmetric
 
 __all__ = [

@@ -248,6 +248,10 @@ def test_toy_model_arrays_are_read_only(tmp_path):
             assert arr.dtype == np.float64
             with pytest.raises(ValueError):
                 arr[...] = 0.0
+            # immutable: neither the array nor its base can be made writable
+            for owner in (arr, arr.base):
+                with pytest.raises(ValueError):
+                    owner.setflags(write=True)
     base = oracle.evaluate({})
     with pytest.raises(ValueError):
         oracle.model.weights[0][0, 0] = 1.0
@@ -633,6 +637,10 @@ def test_load_rejects_an_empty_quadratic_window(tmp_path):
     path = tmp_path / "quad.bin"
     save_oracle(random_quadratic(4, [3, 2], 0.7), path)
     assert load_oracle(path, eval_count=5).sample_count == 5
+    # a new window shares the arrays, and an unchanged count is the oracle itself
+    oracle = load_oracle(path)
+    assert oracle.with_window(7, 1) is oracle
+    assert oracle.with_window(0, 5).curvature is oracle.curvature
     with pytest.raises(ValueError, match="sample_count must be >= 1"):
         load_oracle(path, eval_count=0)
 
@@ -665,6 +673,28 @@ def test_container_error_reporting(tmp_path):
     path.write_bytes(b"MIXPREC1" + len(blob).to_bytes(4, "little") + blob)
     with pytest.raises(FileFormatError):
         load_oracle(path)
+    # a header field that is missing or of the wrong type, or no object at all
+    toy, quad = tmp_path / "toy.bin", tmp_path / "quad.bin"
+    save_oracle(train_toy(0, epochs=2, depth=2, hidden=2, eval_count=4), toy)
+    save_oracle(random_quadratic(4, [2, 2], 0.5), quad)
+
+    def without(header, name):
+        return {k: v for k, v in header.items() if k != name}
+
+    for source, edit, named in [
+            (toy, lambda header: without(header, "seed"), "'seed'"),
+            (quad, lambda header: without(header, "layer_sizes"), "'layer_sizes'"),
+            (toy, lambda header: list(header), "not a JSON object"),
+            (toy, lambda header: {**header, "dims": ["x", 2]}, "'dims'")]:
+        raw = source.read_bytes()
+        hlen = int.from_bytes(raw[8:12], "little")
+        blob = json.dumps(edit(json.loads(raw[12:12 + hlen]))).encode()
+        path.write_bytes(raw[:8] + len(blob).to_bytes(4, "little") + blob + raw[12 + hlen:])
+        with pytest.raises(FileFormatError, match=f"bad.bin.*{named}"):
+            load_oracle(path)
+        code, _, err = run_cli("measure", "--model", str(path), "--bits", "2,4",
+                               "--cache-dir", str(tmp_path / "cache"))
+        assert code == 4 and named in err
 
 
 @pytest.mark.parametrize("chunk", [1, 7, 30, 31])

@@ -60,10 +60,12 @@ def test_quantize_preserves_shape():
 
 
 def test_quantize_rejects_bad_bits_and_scale():
-    with pytest.raises(ValueError):
-        quantize([1.0], 1, 0.5)
-    with pytest.raises(ValueError):
-        quantize([1.0], 2.5, 0.5)
+    # one validator, the one BitMenu uses, for every entry point
+    for bits in (float("inf"), float("nan"), 2.5, 1):
+        for call in (lambda: quantize([1.0], bits, 0.5), lambda: calibrate_scale_mse([1.0], bits),
+                     lambda: perturbation([1.0], bits)):
+            with pytest.raises(ValueError, match="bit-widths must be"):
+                call()
     with pytest.raises(ValueError):
         quantize([1.0], 4, 0.0)
     with pytest.raises(ValueError):
