@@ -10,11 +10,14 @@ inconsistent inputs.
 from __future__ import annotations
 
 import argparse
+import collections
+import copy
 import csv
 import glob
 import math
 import os
 import sys
+import threading
 
 import numpy as np
 
@@ -203,6 +206,94 @@ def cmd_gen_quadratic(args) -> int:
     return EXIT_OK
 
 
+def _batch_workers(pending: int) -> int:
+    """Threads to measure ``pending`` batches on: the CPUs this process may
+    use over the BLAS threads ``OPENBLAS_NUM_THREADS`` (else
+    ``OMP_NUM_THREADS``) declares, at most ``pending`` and at least one.
+
+    One when no positive thread count is declared: an unpinned BLAS
+    already spreads each product over every CPU, and batch threads over
+    it ran slower than one thread.
+    """
+    declared = os.environ.get("OPENBLAS_NUM_THREADS") or os.environ.get("OMP_NUM_THREADS")
+    try:
+        blas = int(declared or 0)
+    except ValueError:
+        blas = 0
+    if blas < 1:
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # not every platform has affinities
+        cpus = os.cpu_count() or 1
+    return max(1, min(pending, cpus // blas))
+
+
+class _BatchPool:
+    """Measures batches on the calling thread plus ``workers - 1`` helper
+    threads, all taking indices in order from one queue.
+
+    ``result`` hands back one batch's matrix or raises its exception, and
+    the calling thread measures queued batches while it waits, so it
+    works rather than idles.  After an error no batch starts; a batch in
+    flight runs to its end.  Only batches in flight hold their oracle's
+    buffers: a finished batch keeps just its matrix.
+    """
+
+    def __init__(self, indices, measure, workers: int):
+        self._todo = collections.deque(indices)
+        self._measure = measure
+        self._done = {}
+        self._changed = threading.Condition()
+        self._helpers = [threading.Thread(target=self._help, daemon=True)
+                         for _ in range(workers - 1)]
+        for helper in self._helpers:
+            helper.start()
+
+    def _run(self, index: int) -> None:
+        try:
+            outcome = (self._measure(index), None)
+        except BaseException as exc:  # handed to the caller of ``result``
+            outcome = (None, exc)
+        with self._changed:
+            if outcome[1] is not None:
+                self._todo.clear()
+            self._done[index] = outcome
+            self._changed.notify_all()
+
+    def _take(self):
+        with self._changed:
+            return self._todo.popleft() if self._todo else None
+
+    def _help(self) -> None:
+        while (index := self._take()) is not None:
+            self._run(index)
+
+    def result(self, index: int):
+        """Batch ``index``'s matrix.  Every earlier index in the queue must
+        have been asked for already, so ``index`` has been taken or is next."""
+        while True:
+            with self._changed:
+                if index in self._done:
+                    matrix, exc = self._done.pop(index)
+                    break
+                if not self._todo:
+                    self._changed.wait()
+                    continue
+                taken = self._todo.popleft()
+            self._run(taken)
+        if exc is not None:
+            raise exc
+        return matrix
+
+    def close(self) -> None:
+        """Start no more batches, and wait for the helpers to end."""
+        with self._changed:
+            self._todo.clear()
+        for helper in self._helpers:
+            helper.join()
+
+
 def cmd_measure(args) -> int:
     menu = BitMenu(_parse_list(args.bits, "--bits"))
     if args.batch_size < 1:
@@ -215,27 +306,47 @@ def cmd_measure(args) -> int:
     sizes = tuple(layer.count for layer in oracle.layers)
     # Created only once the model loaded.
     os.makedirs(cache_dir, exist_ok=True)
-    # The perturbations depend only on the weights and the menu, so they are
-    # calibrated once, on the first batch measured, and reused for the rest.
-    deltas = None
-    for index in range(args.first_batch, args.first_batch + args.batches):
-        path = _batch_path(cache_dir, index)
-        if os.path.exists(path):
-            existing = _load_batch(path)
-            if existing.menu.bits != menu.bits:
-                raise ValueError(
-                    f"{path}: existing cache uses menu {existing.menu.bits}, asked for {menu.bits}")
-            if existing.layer_sizes != sizes:
-                raise ValueError(f"{path}: existing cache has layer sizes "
-                                 f"{existing.layer_sizes}, model has {sizes}")
-            print(f"batch {index}: exists, skipped")
-            continue
-        # Rebinding drops the previous batch's oracle and its buffers.
-        oracle = oracle.with_window(index * args.batch_size, args.batch_size)
-        if deltas is None:
-            deltas = layer_perturbations(oracle.layers, menu)
-        save_matrix(build_matrix(oracle, menu, deltas=deltas), path)
-        print(f"batch {index}: wrote {path}")
+    indices = range(args.first_batch, args.first_batch + args.batches)
+    present = {i for i in indices if os.path.exists(_batch_path(cache_dir, i))}
+    pending = [i for i in indices if i not in present]
+
+    def measure(index):
+        # Each batch measures an oracle of its own, whose buffers go with it.
+        # The loaded oracle lives as long as the command, so a batch whose
+        # window it already has measures a copy made before any evaluation.
+        window = oracle.with_window(index * args.batch_size, args.batch_size)
+        return build_matrix(copy.copy(window) if window is oracle else window, menu,
+                            deltas=deltas)
+
+    # Batches run concurrently, but this loop checks, writes and prints
+    # them in index order, each as soon as every earlier one is done, so
+    # the files and stdout are those of one batch after another.  An error
+    # stops new batches; the earlier ones are still written, and the
+    # error is raised here, at its batch.
+    pool = None
+    try:
+        for index in indices:
+            path = _batch_path(cache_dir, index)
+            if index in present:
+                existing = _load_batch(path)
+                if existing.menu.bits != menu.bits:
+                    raise ValueError(f"{path}: existing cache uses menu "
+                                     f"{existing.menu.bits}, asked for {menu.bits}")
+                if existing.layer_sizes != sizes:
+                    raise ValueError(f"{path}: existing cache has layer sizes "
+                                     f"{existing.layer_sizes}, model has {sizes}")
+                print(f"batch {index}: exists, skipped")
+                continue
+            if pool is None:
+                # The perturbations depend only on the weights and the menu,
+                # so they are calibrated once, here, for every batch.
+                deltas = layer_perturbations(oracle.layers, menu)
+                pool = _BatchPool(pending, measure, _batch_workers(len(pending)))
+            save_matrix(pool.result(index), path)
+            print(f"batch {index}: wrote {path}")
+    finally:
+        if pool is not None:
+            pool.close()
     return EXIT_OK
 
 

@@ -330,20 +330,20 @@ class ToyClassifierOracle(LossOracle):
     Only the weight matrices are exposed as quantizable layers; biases
     stay at full precision.
 
-    ``evaluate`` keeps one trace, of the latest call: its perturbations and
-    every layer's effective weights.  The activations live in buffers
-    allocated once per oracle, by its first evaluation: one per hidden
-    layer plus the logits, which each pass overwrites from the layer it
-    starts at.
+    ``evaluate`` keeps one trace, the latest call's checked perturbations.
+    The activations live in buffers allocated once per oracle, by its
+    first evaluation: one per hidden layer plus the logits, which each
+    pass overwrites from the layer it starts at.
 
     A layer is shared with the trace when both calls leave it unperturbed,
     or both perturb it with the same immutable array, a view of ``bytes``
-    as ``layer_perturbations`` hands out; it then keeps the trace's
-    weights object.  Every other layer is rebuilt.  A pass starts at the
-    first layer that is not shared, from the buffer holding its input, and
-    always runs the output layer.  The model's weights are immutable too,
-    so the trace decides where a pass starts, never its result: every call
-    returns what a fresh oracle would, in any call order.
+    as ``layer_perturbations`` hands out.  A pass starts at the first
+    layer that is not shared, from the buffer holding its input, and
+    always runs the output layer.  It builds effective weights only for
+    the perturbed layers from its start on, and drops them when it ends.
+    The model's weights are immutable too, so the trace decides where a
+    pass starts, never its result: every call returns what a fresh oracle
+    would, in any call order.
 
     ``build_matrix`` orders its calls for this trace: singles run from the
     last layer to the first, each followed by its pairs over later layers,
@@ -385,19 +385,21 @@ class ToyClassifierOracle(LossOracle):
         checked = self._check_perturbations(perturbations)
         weights = list(self.model.weights)
         trace = self._trace
-        for idx, vec in checked.items():
-            if trace is not None and trace[0].get(idx) is vec and _immutable(vec) is vec:
-                weights[idx] = trace[1][idx]
-            else:
-                weights[idx] = weights[idx] + vec.reshape(weights[idx].shape)
         # The output layer always runs: the trace vouches for inputs only.
         start = 0
-        while trace is not None and start < len(weights) - 1 and weights[start] is trace[1][start]:
-            start += 1
+        if trace is not None:
+            while start < len(weights) - 1:
+                vec = checked.get(start)
+                if vec is not trace.get(start) or (vec is not None and _immutable(vec) is not vec):
+                    break
+                start += 1
+        for idx, vec in checked.items():
+            if idx >= start:
+                weights[idx] = weights[idx] + vec.reshape(weights[idx].shape)
         h = self._outputs[start - 1] if start else self._eval_x
         self._trace = None  # the buffers are not a trace until the pass completes
         logits = _forward(weights, self.model.biases, h, start, self._outputs)[-1]
-        self._trace = (checked, weights)
+        self._trace = checked
         return _cross_entropy(logits, self._eval_y)[0]
 
 
@@ -598,12 +600,23 @@ def save_oracle(oracle, path) -> None:
         raise TypeError(f"cannot serialize oracle of type {type(oracle).__name__}")
 
 
+def _finite(v) -> bool:
+    return type(v) in (int, float) and math.isfinite(v)
+
+
+def _positive_ints(v) -> bool:
+    return type(v) is list and all(type(d) is int and d > 0 for d in v)
+
+
 # What each kind of header field must hold.
 _FIELD_KINDS = {
     "an integer": lambda v: type(v) is int,
-    "a finite number": lambda v: type(v) in (int, float) and math.isfinite(v),
-    "a list of positive integers":
-        lambda v: type(v) is list and all(type(d) is int and d > 0 for d in v),
+    "a finite number": _finite,
+    "a finite number >= 0": lambda v: _finite(v) and v >= 0,
+    "a list of positive integers": _positive_ints,
+    # The toy's two input features, then its layer widths, then 2 or more classes.
+    "a list of layer widths from 2 inputs to 2 or more classes":
+        lambda v: _positive_ints(v) and len(v) >= 2 and v[0] == 2 and v[-1] >= 2,
 }
 
 
@@ -624,7 +637,8 @@ def load_oracle(path, *, eval_start: int = 0, eval_count: int | None = None) -> 
     header, payload = _read_container(path)
     kind = header.get("kind")
     if kind == "toy_classifier":
-        dims = tuple(_header_field(header, path, "dims", "a list of positive integers"))
+        dims = tuple(_header_field(header, path, "dims",
+                                   "a list of layer widths from 2 inputs to 2 or more classes"))
         shapes = _param_shapes(dims)
         if sum(math.prod(shape) for shape in shapes) != payload.size:
             raise FileFormatError(f"{path!r}: payload size does not match dims")
@@ -632,7 +646,7 @@ def load_oracle(path, *, eval_start: int = 0, eval_count: int | None = None) -> 
         depth = len(dims) - 1
         model = ToyModel(dims=dims, weights=tuple(views[:depth]), biases=tuple(views[depth:]),
                          seed=_header_field(header, path, "seed", "an integer"),
-                         noise=float(_header_field(header, path, "noise", "a finite number")),
+                         noise=float(_header_field(header, path, "noise", "a finite number >= 0")),
                          train_count=_header_field(header, path, "train_count", "an integer"))
         oracle = ToyClassifierOracle(model)
     elif kind == "quadratic":

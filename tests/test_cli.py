@@ -1,6 +1,10 @@
+import collections
 import csv
+import os
 import subprocess
 import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -118,11 +122,17 @@ def test_measure_skipped_batch_must_match_model_layer_sizes(quad_setup, tmp_path
     assert not (cache / "batch-000001.txt").exists()
 
 
-def test_measure_calibrates_each_perturbation_once(tmp_path, monkeypatch):
+@pytest.fixture()
+def small_toy_model(tmp_path):
     model = tmp_path / "toy.bin"
     code, _, _ = run_cli("train-toy", "--seed", "3", "--epochs", "20", "--depth", "3",
                          "--hidden", "4", "--out", str(model))
     assert code == 0
+    return model
+
+
+def test_measure_calibrates_each_perturbation_once(tmp_path, monkeypatch, small_toy_model):
+    model = small_toy_model
     calls = []
     calibrate = quantizer.calibrate_scale_mse
 
@@ -155,6 +165,177 @@ def test_measure_calibrates_each_perturbation_once(tmp_path, monkeypatch):
     code, out, _ = run_cli(*measure, "--cache-dir", str(tmp_path / "one"), "--batches", "3")
     assert code == 0 and out.count("exists, skipped") == 3
     assert calls == []
+
+
+def _declare_cpus(monkeypatch, cpus):
+    """Declare BLAS pinned to one thread on ``cpus`` CPUs, so ``measure``
+    runs that many batch threads, or with ``None`` declare no BLAS threads."""
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    if cpus is None:
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        return
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+
+
+def _gather_batches(monkeypatch, parties):
+    """Make each batch wait until ``parties`` batches are in flight at once;
+    returns the set of threads that measured a batch."""
+    threads, barrier, build = set(), threading.Barrier(parties, timeout=10), cli.build_matrix
+
+    def gathered(oracle, menu, **kwargs):
+        threads.add(threading.current_thread())
+        barrier.wait()
+        return build(oracle, menu, **kwargs)
+
+    monkeypatch.setattr(cli, "build_matrix", gathered)
+    return threads
+
+
+def _cache_files(cache) -> dict[str, bytes]:
+    return {path.name: path.read_bytes() for path in sorted(cache.glob("batch-*.txt"))}
+
+
+def test_batch_workers_divide_the_cpus_by_the_declared_blas_threads(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    _declare_cpus(monkeypatch, None)
+    assert cli._batch_workers(8) == 1  # an unpinned BLAS spreads each product itself
+    for declared, workers in (("1", 2), ("2", 1), ("4", 1), ("one", 1), ("0", 1)):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", declared)
+        assert cli._batch_workers(8) == workers, declared
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    assert cli._batch_workers(1) == 1  # no more threads than pending batches
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS")
+    monkeypatch.setenv("OMP_NUM_THREADS", "1")
+    assert cli._batch_workers(8) == 2
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    assert cli._batch_workers(8) == 4
+
+
+def test_batch_pool_measures_each_batch_once_under_contention():
+    calls, lock, results = collections.Counter(), threading.Lock(), []
+
+    def measure(index):
+        with lock:
+            calls[index] += 1
+        return index * index
+
+    def drain():
+        pool = cli._BatchPool(range(400), measure, 8)  # more threads than CPUs
+        try:
+            results.extend(pool.result(i) for i in range(400))
+        finally:
+            pool.close()
+        results.append(not any(helper.is_alive() for helper in pool._helpers))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        caller = threading.Thread(target=drain)
+        caller.start()
+        caller.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not caller.is_alive()
+    assert results == [i * i for i in range(400)] + [True]
+    assert calls == collections.Counter(range(400))  # none lost, none twice
+
+
+def test_measure_batch_threads_write_what_one_thread_writes(tmp_path, monkeypatch,
+                                                            small_toy_model):
+    measure = ("measure", "--model", str(small_toy_model), "--bits", "2,4",
+               "--batch-size", "16", "--batches", "4")
+    _declare_cpus(monkeypatch, None)
+    code, want_out, _ = run_cli(*measure, "--cache-dir", str(tmp_path / "cache"))
+    assert code == 0
+    want = _cache_files(tmp_path / "cache")
+    assert len(want) == 4
+    for workers in (1, 2, 4):
+        _declare_cpus(monkeypatch, workers)
+        threads = _gather_batches(monkeypatch, workers)
+        before = set(threading.enumerate())
+        cache = tmp_path / f"cache{workers}"
+        code, out, _ = run_cli(*measure, "--cache-dir", str(cache))
+        assert code == 0
+        assert len(threads) == workers  # every thread measured a batch at once
+        assert set(threading.enumerate()) == before
+        assert out == want_out.replace(str(tmp_path / "cache"), str(cache))
+        assert _cache_files(cache) == want
+    # A resumed run whose existing batches sit between pending ones.
+    for workers in (None, 1, 2, 4):
+        cache = tmp_path / f"resumed{workers}"
+        monkeypatch.undo()  # the existing batches are measured as they always were
+        for first in ("1", "3"):
+            code, _, _ = run_cli(*measure[:-2], "--batches", "1", "--first-batch", first,
+                                 "--cache-dir", str(cache))
+            assert code == 0
+        _declare_cpus(monkeypatch, workers)
+        threads = _gather_batches(monkeypatch, min(workers or 1, 2))
+        code, out, _ = run_cli(*measure, "--cache-dir", str(cache))
+        assert code == 0
+        assert len(threads) == min(workers or 1, 2)
+        assert out.splitlines() == [f"batch 0: wrote {cache / 'batch-000000.txt'}",
+                                    "batch 1: exists, skipped",
+                                    f"batch 2: wrote {cache / 'batch-000002.txt'}",
+                                    "batch 3: exists, skipped"]
+        assert _cache_files(cache) == want
+
+
+@pytest.mark.parametrize("workers", [None, 2])
+def test_measure_error_in_a_batch_writes_the_batches_before_it(tmp_path, monkeypatch,
+                                                               small_toy_model, workers):
+    _declare_cpus(monkeypatch, workers)
+    build, failed, started = cli.build_matrix, threading.Event(), []
+
+    def failing(oracle, menu, **kwargs):
+        index = oracle._window[0] // 16
+        started.append((index, threading.current_thread()))
+        if index == 2:
+            failed.set()
+            raise ValueError("batch 2 failed")
+        if workers and threading.current_thread() is threading.main_thread():
+            failed.wait(10)  # so a helper thread takes batch 2
+        return build(oracle, menu, **kwargs)
+
+    monkeypatch.setattr(cli, "build_matrix", failing)
+    before = set(threading.enumerate())
+    cache = tmp_path / "cache"
+    code, out, err = run_cli("measure", "--model", str(small_toy_model), "--bits", "2,4",
+                             "--batch-size", "16", "--batches", "4", "--cache-dir", str(cache))
+    assert code == 5 and "batch 2 failed" in err
+    assert set(threading.enumerate()) == before
+    in_main = {index: thread is threading.main_thread() for index, thread in started}
+    assert sorted(in_main) == [0, 1, 2]  # no batch starts after the error
+    assert in_main[2] == (workers is None)
+    assert sorted(_cache_files(cache)) == ["batch-000000.txt", "batch-000001.txt"]
+    assert out.splitlines() == [f"batch {k}: wrote {cache / f'batch-{k:06d}.txt'}"
+                                for k in (0, 1)]
+
+
+def test_measure_write_error_waits_for_the_batches_in_flight(tmp_path, monkeypatch,
+                                                             small_toy_model):
+    _declare_cpus(monkeypatch, 2)
+    build, helper_busy = cli.build_matrix, threading.Event()
+
+    def slow_in_helpers(oracle, menu, **kwargs):
+        if oracle._window[0] and threading.current_thread() is not threading.main_thread():
+            helper_busy.set()
+            time.sleep(0.5)  # still running when the first write fails
+        return build(oracle, menu, **kwargs)
+
+    def failing_write(matrix, path):
+        helper_busy.wait(10)
+        raise OSError(f"{path}: disk full")
+
+    monkeypatch.setattr(cli, "build_matrix", slow_in_helpers)
+    monkeypatch.setattr(cli, "save_matrix", failing_write)
+    before = set(threading.enumerate())
+    cache = tmp_path / "cache"
+    code, out, err = run_cli("measure", "--model", str(small_toy_model), "--bits", "2,4",
+                             "--batch-size", "16", "--batches", "8", "--cache-dir", str(cache))
+    assert code == 4 and "batch-000000.txt: disk full" in err and out == ""
+    assert set(threading.enumerate()) == before
 
 
 def test_solve_reports_and_csv(quad_setup, tmp_path):

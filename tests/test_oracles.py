@@ -382,20 +382,18 @@ def test_toy_trusts_by_identity_only_arrays_that_cannot_change(small_toy):
 
 
 def _rebuilds(model, table, menu):
-    """Effective-weight rebuilds over one toy ``build_matrix``."""
+    """Effective-weight rebuilds over one toy ``build_matrix``: the weights
+    each forward pass is handed that are not the model's own."""
     oracle = ToyClassifierOracle(model, eval_count=32)
-    rebuilds, evaluate = 0, oracle.evaluate
+    rebuilds, forward = 0, oracles._forward
 
-    def watching(perturbations):
+    def watching(weights, *args):
         nonlocal rebuilds
-        before = oracle._trace[1] if oracle._trace else model.weights
-        loss = evaluate(perturbations)
-        rebuilds += sum(a is not b and a is not w
-                        for a, b, w in zip(oracle._trace[1], before, model.weights))
-        return loss
+        rebuilds += sum(w is not m for w, m in zip(weights, model.weights))
+        return forward(weights, *args)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(oracle, "evaluate", watching)
+        patch.setattr(oracles, "_forward", watching)
         build_matrix(oracle, menu, deltas=table)
     return rebuilds
 
@@ -405,7 +403,8 @@ def test_toy_build_matrix_rebuilds_one_layer_a_call_and_compares_none_in_full(sm
     table = layer_perturbations(ToyClassifierOracle(small_toy, eval_count=8).layers, menu)
     calls = 1 + 4 * 3 + 6 * 3 * 3
     # Each call after the baseline builds the one layer it newly perturbs;
-    # every other layer is the trace's by identity, and nothing is compared.
+    # its pass starts there, so no earlier perturbed layer is built again,
+    # and the trace is matched by identity, so nothing is compared.
     # build_matrix makes writable copies immutable once, so they rebuild
     # no more than the table.
     writable = [[vec.copy() for vec in row] for row in table]
@@ -685,7 +684,13 @@ def test_container_error_reporting(tmp_path):
             (toy, lambda header: without(header, "seed"), "'seed'"),
             (quad, lambda header: without(header, "layer_sizes"), "'layer_sizes'"),
             (toy, lambda header: list(header), "not a JSON object"),
-            (toy, lambda header: {**header, "dims": ["x", 2]}, "'dims'")]:
+            (toy, lambda header: {**header, "dims": ["x", 2]}, "'dims'"),
+            # well typed, but not the toy's 2 inputs and 2 or more classes;
+            # [3, 1, 4] needs the same 12 values as the saved [2, 2, 2]
+            (toy, lambda header: {**header, "dims": [3, 1, 4]}, "'dims'"),
+            (toy, lambda header: {**header, "dims": [2, 2, 1]}, "'dims'"),
+            (toy, lambda header: {**header, "dims": [2]}, "'dims'"),
+            (toy, lambda header: {**header, "noise": -0.5}, "'noise'")]:
         raw = source.read_bytes()
         hlen = int.from_bytes(raw[8:12], "little")
         blob = json.dumps(edit(json.loads(raw[12:12 + hlen]))).encode()
