@@ -383,8 +383,7 @@ def cmd_solve(args) -> int:
     partition = _parse_partition(args.block_partition) if args.block_partition else None
     if args.method == "block" and partition is None:
         raise _UsageError("--method block requires --block-partition")
-    report = solve_with_method(args.method, matrix, None, None, budget,
-                               block_partition=partition,
+    report = solve_with_method(args.method, matrix, budget, block_partition=partition,
                                **_solver_options(args, args.method))
     _print_report(report, args.record_timing)
     if args.out:

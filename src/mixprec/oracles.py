@@ -154,9 +154,11 @@ class QuadraticOracle(LossOracle):
 
     def with_window(self, eval_start: int, eval_count: int | None) -> "QuadraticOracle":
         """The same loss weighted as ``eval_count`` samples; ``eval_start``
-        does not matter, as the loss has no data, and ``None`` keeps the
-        count.  This oracle when the count is unchanged, else a copy that
-        shares its arrays."""
+        must be >= 0 but does not matter otherwise, as the loss has no data,
+        and ``None`` keeps the count.  This oracle when the count is
+        unchanged, else a copy that shares its arrays."""
+        if eval_start < 0:
+            raise ValueError(f"eval_start must be >= 0, got {eval_start}")
         count = self._samples if eval_count is None else int(eval_count)
         if count == self._samples:
             return self
@@ -208,8 +210,8 @@ def random_quadratic(seed: int, layer_sizes, rho: float, *,
     """
     if not 0.0 <= rho <= 1.0:
         raise ValueError(f"rho must lie in [0, 1], got {rho}")
-    if sample_ratio <= 0.0:
-        raise ValueError(f"sample_ratio must be positive, got {sample_ratio}")
+    if not 0.0 < sample_ratio < math.inf:
+        raise ValueError(f"sample_ratio must be a positive finite number, got {sample_ratio}")
     sizes = tuple(int(s) for s in layer_sizes)
     dim = sum(sizes)
     rng = np.random.default_rng(np.random.SeedSequence([seed, _TAG_QUADRATIC]))
@@ -461,6 +463,13 @@ def train_toy(seed: int, epochs: int = 2000, *, depth: int = 8, hidden: int = 16
         raise ValueError("epochs must be >= 1")
     if depth < 2:
         raise ValueError("need at least an input and an output layer")
+    if hidden < 1:
+        raise ValueError(f"hidden must be >= 1, got {hidden}")
+    if train_count < 1:
+        raise ValueError(f"train_count must be >= 1, got {train_count}")
+    # Written so that NaN fails the comparison, as load_oracle requires of a noise.
+    if not 0 <= noise < math.inf:
+        raise ValueError(f"noise must be a finite number >= 0, got {noise}")
     x, y = make_moons(seed, train_count, noise=noise)
     dims = (2,) + (hidden,) * (depth - 1) + (2,)
     shapes = _param_shapes(dims)

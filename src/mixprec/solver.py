@@ -46,8 +46,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .quantizer import _bit_widths
-from .sensitivity import BitMenu, SensitivityMatrix, _mask_couplings
-from .spectra import _psd_shift, _require_symmetric
+from .sensitivity import SensitivityMatrix, _mask_couplings
+from .spectra import _psd_shift
 
 __all__ = [
     "BitAssignment",
@@ -175,46 +175,26 @@ def _as_budget(budget) -> SizeBudget:
     return SizeBudget(budget)
 
 
-def _problem(g, sizes, menu):
-    """Normalize (matrix-or-array, sizes, menu) into raw pieces."""
-    if isinstance(g, SensitivityMatrix):
-        if sizes is not None and tuple(int(s) for s in sizes) != g.layer_sizes:
-            raise ValueError("explicit layer sizes disagree with the matrix metadata")
-        if menu is not None:
-            if BitMenu(menu).bits != g.menu.bits:
-                raise ValueError("explicit bit menu disagrees with the matrix metadata")
-        return g.entries, g.layer_sizes, g.menu
-    entries = np.asarray(g, dtype=np.float64)
-    if sizes is None or menu is None:
-        raise ValueError("layer sizes and a bit menu are required with a raw entries array")
-    menu = BitMenu(menu)
-    sizes = tuple(int(s) for s in sizes)
-    if not sizes:
-        raise ValueError("layer sizes must cover at least one layer")
-    if min(sizes) < 1:
-        raise ValueError(f"layer sizes must be positive, got {sizes}")
-    dim = len(menu) * len(sizes)
-    if entries.shape != (dim, dim):
-        raise ValueError(f"entries must have shape {(dim, dim)}, got {entries.shape}")
-    # Check only: the caller's bytes are what gets scored.
-    _require_symmetric(entries)
-    return entries, sizes, menu
+def _require_matrix(matrix) -> None:
+    if not isinstance(matrix, SensitivityMatrix):
+        raise TypeError(f"expected a SensitivityMatrix, got {type(matrix).__name__}; wrap a "
+                        "dense array as SensitivityMatrix(BitMenu(bits), sizes, entries, 1)")
 
 
-def objective(g, assignment: BitAssignment, *, sizes=None, menu=None) -> float:
+def objective(matrix: SensitivityMatrix, assignment: BitAssignment) -> float:
     """Quadratic form of the entries over a one-hot assignment.
 
     Equals the sum of the selected diagonal entries plus both mirrored
     copies of each selected cross entry, accumulated with ``math.fsum``
     so the value does not depend on summation order.
     """
-    entries, layer_sizes, menu = _problem(g, sizes, menu)
-    nb = len(menu)
-    if len(assignment.bits) != len(layer_sizes):
+    _require_matrix(matrix)
+    nb = len(matrix.menu)
+    if len(assignment.bits) != matrix.num_layers:
         raise ValueError(
-            f"assignment covers {len(assignment.bits)} layers, matrix has {len(layer_sizes)}")
-    return _quadratic_form(entries, [l * nb + menu.index(b)
-                                     for l, b in enumerate(assignment.bits)])
+            f"assignment covers {len(assignment.bits)} layers, matrix has {matrix.num_layers}")
+    return _quadratic_form(matrix.entries, [l * nb + matrix.menu.index(b)
+                                            for l, b in enumerate(assignment.bits)])
 
 
 def _quadratic_form(entries, idx) -> float:
@@ -401,26 +381,25 @@ def _enumerate_node(en, fixed):
     return best
 
 
-def solve_exhaustive(g, sizes=None, menu=None, budget=None) -> SolveReport:
+def solve_exhaustive(matrix: SensitivityMatrix, budget) -> SolveReport:
     """Globally optimal assignment by full enumeration.
 
     Refuses search spaces above ``EXHAUSTIVE_LIMIT`` assignments.
     """
-    entries, layer_sizes, menu = _problem(g, sizes, menu)
-    budget = _as_budget(budget)
-    num_layers = len(layer_sizes)
-    nb = len(menu)
+    _require_matrix(matrix)
+    limit = _as_budget(budget).limit_bits
+    num_layers = matrix.num_layers
+    nb = len(matrix.menu)
     total = nb ** num_layers
     if total > EXHAUSTIVE_LIMIT:
         raise SearchSpaceError(
             f"{nb}**{num_layers} assignments exceed the enumeration limit {EXHAUSTIVE_LIMIT}")
-    wmat = _size_table(layer_sizes, menu.bits, budget.limit_bits)
-    key = _enumerate_node(_enumeration(entries, menu.bits, wmat, budget.limit_bits),
+    wmat = _size_table(matrix.layer_sizes, matrix.menu.bits, limit)
+    key = _enumerate_node(_enumeration(matrix.entries, matrix.menu.bits, wmat, limit),
                           np.full(num_layers, -1))
     return SolveReport(method="exhaustive", status="optimal",
                        assignment=BitAssignment(key[2]), objective=key[0],
-                       size_bits=key[1], proved=True, nodes=total,
-                       budget_bits=budget.limit_bits)
+                       size_bits=key[1], proved=True, nodes=total, budget_bits=limit)
 
 
 def _lmo(cost, start, free, wmat, rem):
@@ -557,25 +536,26 @@ def _convexify(entries, nb):
     return bounded, s, -t
 
 
-def _bnb_core(entries, layer_sizes, menu, budget, method, *,
+def _bnb_core(matrix, entries, budget, method, *,
               node_limit: int = 1_000_000, time_limit: float | None = None) -> SolveReport:
-    """Depth-first branch-and-bound; the keyword options are the only
-    per-call solver settings and their defaults are declared here.
+    """Depth-first branch-and-bound over ``entries``, the matrix's own or a
+    masked copy; the keyword options are the only per-call solver settings
+    and their defaults are declared here.
 
     ``node_limit`` is an integer >= 0 and ``time_limit`` None or a number
     >= 0, infinity included; 0 for either allows no search at all.
     """
+    limit = _as_budget(budget).limit_bits
     if not isinstance(node_limit, numbers.Integral) or node_limit < 0:
         raise ValueError(f"node_limit must be an integer >= 0, got {node_limit!r}")
     # Written so that NaN fails the comparison.
     if time_limit is not None and not (isinstance(time_limit, numbers.Real)
                                        and time_limit >= 0):
         raise ValueError(f"time_limit must be None or a number >= 0, got {time_limit!r}")
-    menu_bits = menu.bits
-    num_layers = len(layer_sizes)
+    menu_bits = matrix.menu.bits
+    num_layers = matrix.num_layers
     nb = len(menu_bits)
-    limit = budget.limit_bits
-    wmat = _size_table(layer_sizes, menu_bits, limit)
+    wmat = _size_table(matrix.layer_sizes, menu_bits, limit)
     layers = np.arange(num_layers)
     enumeration = _enumeration(entries, menu_bits, wmat, limit)
     inc_key = _exact_key(entries, menu_bits, wmat, (0,) * num_layers)
@@ -627,7 +607,7 @@ def _bnb_core(entries, layer_sizes, menu, budget, method, *,
                        budget_bits=limit)
 
 
-def solve_bnb(g, sizes=None, menu=None, budget=None, **options) -> SolveReport:
+def solve_bnb(matrix: SensitivityMatrix, budget, **options) -> SolveReport:
     """Exact branch-and-bound over one-hot assignments.
 
     The matrix need not be PSD: the first node that needs a bound computes
@@ -639,15 +619,15 @@ def solve_bnb(g, sizes=None, menu=None, budget=None, **options) -> SolveReport:
     neither the ``node_limit`` nor the ``time_limit`` option cut the
     search short.  Other option names raise ``TypeError``.
     """
-    entries, layer_sizes, menu = _problem(g, sizes, menu)
-    return _bnb_core(entries, layer_sizes, menu, _as_budget(budget), "full", **options)
+    _require_matrix(matrix)
+    return _bnb_core(matrix, matrix.entries, budget, "full", **options)
 
 
-def solve_diagonal_only(g, sizes=None, menu=None, budget=None, **options) -> SolveReport:
+def solve_diagonal_only(matrix: SensitivityMatrix, budget, **options) -> SolveReport:
     """Branch-and-bound with every off-diagonal entry zeroed first."""
-    entries, layer_sizes, menu = _problem(g, sizes, menu)
-    stripped = _mask_couplings(entries, np.arange(len(entries)))
-    return _bnb_core(stripped, layer_sizes, menu, _as_budget(budget), "diag", **options)
+    _require_matrix(matrix)
+    stripped = _mask_couplings(matrix.entries, np.arange(matrix.dim))
+    return _bnb_core(matrix, stripped, budget, "diag", **options)
 
 
 def _partition_groups(partition, num_layers) -> np.ndarray:
@@ -663,18 +643,17 @@ def _partition_groups(partition, num_layers) -> np.ndarray:
     return group
 
 
-def solve_block(g, sizes=None, menu=None, budget=None, block_partition=None,
-                **options) -> SolveReport:
+def solve_block(matrix: SensitivityMatrix, budget, block_partition, **options) -> SolveReport:
     """Branch-and-bound keeping couplings only inside the given layer blocks."""
-    entries, layer_sizes, menu = _problem(g, sizes, menu)
+    _require_matrix(matrix)
     if block_partition is None:
         raise ValueError("solve_block requires a block partition")
-    group = _partition_groups(block_partition, len(layer_sizes))
-    stripped = _mask_couplings(entries, np.repeat(group, len(menu)))
-    return _bnb_core(stripped, layer_sizes, menu, _as_budget(budget), "block", **options)
+    group = _partition_groups(block_partition, matrix.num_layers)
+    stripped = _mask_couplings(matrix.entries, np.repeat(group, len(matrix.menu)))
+    return _bnb_core(matrix, stripped, budget, "block", **options)
 
 
-def solve_with_method(method: str, g, sizes=None, menu=None, budget=None, *,
+def solve_with_method(method: str, matrix: SensitivityMatrix, budget, *,
                       block_partition=None, **options) -> SolveReport:
     """Dispatch by method name: full, diag, block, or exhaustive.
 
@@ -682,27 +661,23 @@ def solve_with_method(method: str, g, sizes=None, menu=None, budget=None, *,
     """
     started = time.monotonic()
     if method == "full":
-        report = solve_bnb(g, sizes, menu, budget, **options)
+        report = solve_bnb(matrix, budget, **options)
     elif method == "diag":
-        report = solve_diagonal_only(g, sizes, menu, budget, **options)
+        report = solve_diagonal_only(matrix, budget, **options)
     elif method == "block":
-        report = solve_block(g, sizes, menu, budget, block_partition, **options)
+        report = solve_block(matrix, budget, block_partition, **options)
     elif method == "exhaustive":
-        if options:
-            raise TypeError(f"exhaustive solve takes no options, got {sorted(options)}")
-        report = solve_exhaustive(g, sizes, menu, budget)
+        report = solve_exhaustive(matrix, budget, **options)
     else:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
     report.seconds = time.monotonic() - started
     return report
 
 
-def sweep(g, sizes=None, menu=None, budgets=None, *, method: str = "full",
+def sweep(matrix: SensitivityMatrix, budgets, *, method: str = "full",
           block_partition=None, **options) -> list[SolveReport]:
     """One solve per budget, budgets ascending; infeasible points are
     reported inline instead of raising."""
-    if budgets is None:
-        raise ValueError("a list of budgets is required")
     coerced = [_as_budget(b) for b in budgets]
     limits = [b.limit_bits for b in coerced]
     if limits != sorted(limits):
@@ -710,7 +685,7 @@ def sweep(g, sizes=None, menu=None, budgets=None, *, method: str = "full",
     reports = []
     for b in coerced:
         try:
-            reports.append(solve_with_method(method, g, sizes, menu, b,
+            reports.append(solve_with_method(method, matrix, b,
                                              block_partition=block_partition, **options))
         except InfeasibleBudgetError:
             reports.append(SolveReport(method=method, status="infeasible",

@@ -739,6 +739,9 @@ def test_eval_validation(quad_setup, tmp_path):
     code, _, _ = run_cli("eval", "--model", str(model),
                          "--cache-dir", str(cache), "--assignment", "4,nope,8")
     assert code == 5
+    code, out, err = run_cli("eval", "--model", str(model), "--cache-dir", str(cache),
+                             "--assignment", "4,2,8", "--eval-start", "-5")
+    assert code == 5 and out == "" and "eval_start" in err
 
 
 def test_eval_rejects_an_off_menu_width_before_calibrating(quad_setup, monkeypatch):
@@ -785,6 +788,13 @@ def test_train_toy_command(tmp_path):
     assert 0.0 <= float(kv["accuracy"]) <= 1.0
     oracle = load_oracle(out_path)
     assert len(oracle.layers) == 8
+    # rejected arguments write no file
+    bad_path = tmp_path / "bad.bin"
+    for flag, name in (("--hidden", "hidden"), ("--train-count", "train_count")):
+        code, out, err = run_cli("train-toy", "--seed", "3", "--epochs", "5", flag, "0",
+                                 "--out", str(bad_path))
+        assert code == 5 and out == "" and name in err
+        assert not bad_path.exists()
 
 
 def test_module_entry_point_runs_as_subprocess(tmp_path):

@@ -9,7 +9,6 @@ import pytest
 from mixprec.oracles import QuadraticOracle, train_toy
 from mixprec.quantizer import LayerSpec, calibrate_scale_mse, perturbation
 from mixprec.sensitivity import BitMenu, SensitivityMatrix, load_matrix, save_matrix
-from mixprec.solver import BitAssignment, SizeBudget, objective, solve_bnb, solve_exhaustive
 from mixprec.spectra import eigh, psd_project
 
 from helpers import golden_quartet_matrix, run_cli
@@ -40,47 +39,6 @@ def test_spectra_rejects_non_finite(func, value):
         func(_poisoned(value, 4, 4))
     with pytest.raises(ValueError, match=r"non-finite.*\(1, 3\)"):
         func(_poisoned(value, 1, 3))
-
-
-@pytest.mark.parametrize("value", BAD_VALUES)
-def test_solver_rejects_non_finite_raw_entries(value):
-    with pytest.raises(ValueError, match=r"non-finite.*\(2, 6\)"):
-        solve_bnb(_poisoned(value, 2, 6), (1, 1, 1, 1), (2, 32), SizeBudget(68))
-
-
-def test_solver_rejects_asymmetric_raw_entries():
-    lopsided = golden_quartet_matrix().entries.copy()
-    lopsided[0, 2] += 1e-6
-    with pytest.raises(ValueError, match="symmetric"):
-        solve_bnb(lopsided, (1, 1, 1, 1), (2, 32), SizeBudget(68))
-
-
-@pytest.mark.parametrize("value", BAD_VALUES)
-def test_exhaustive_and_objective_reject_non_finite_raw_entries(value):
-    entries = np.eye(4)
-    entries[0, 2] = entries[2, 0] = value
-    with pytest.raises(ValueError, match=r"non-finite.*\(0, 2\)"):
-        solve_exhaustive(entries, (1, 1), (2, 4), SizeBudget(100))
-    with pytest.raises(ValueError, match=r"non-finite.*\(0, 2\)"):
-        objective(entries, BitAssignment((2, 4)), sizes=(1, 1), menu=(2, 4))
-
-
-def test_exhaustive_and_objective_reject_asymmetric_raw_entries():
-    lopsided = np.eye(4)
-    lopsided[0, 2] = 1e-3
-    with pytest.raises(ValueError, match="symmetric"):
-        solve_exhaustive(lopsided, (1, 1), (2, 4), SizeBudget(100))
-    with pytest.raises(ValueError, match="symmetric"):
-        objective(lopsided, BitAssignment((2, 4)), sizes=(1, 1), menu=(2, 4))
-
-
-def test_raw_entries_are_scored_as_given():
-    # Round-off asymmetry is accepted, not averaged away: the mean of the
-    # mirrored pair rounds to 1.0 and would score 0.0.
-    entries = -np.eye(4)
-    entries[0, 3] = 1.0 + 2.0 ** -52
-    entries[3, 0] = 1.0
-    assert objective(entries, BitAssignment((2, 4)), sizes=(1, 1), menu=(2, 4)) == 2.0 ** -52
 
 
 @pytest.mark.parametrize("value", BAD_VALUES)

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import math
 import os
 import random
 
@@ -145,8 +146,9 @@ def test_random_quadratic_validation():
         random_quadratic(0, [2, 2], -0.1)
     with pytest.raises(ValueError):
         random_quadratic(0, [2, 2], 1.1)
-    with pytest.raises(ValueError):
-        random_quadratic(0, [2, 2], 0.5, sample_ratio=0.0)
+    for ratio in (0.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="sample_ratio"):
+            random_quadratic(0, [2, 2], 0.5, sample_ratio=ratio)
     with pytest.raises(ValueError, match="sample_count must be >= 1"):
         random_quadratic(0, [2, 2], 0.5, sample_count=0)
 
@@ -237,6 +239,10 @@ def test_train_toy_validation():
         train_toy(0, depth=1)
     with pytest.raises(ValueError):
         train_toy(0, epochs=5, eval_count=0)
+    for name, value in (("hidden", 0), ("hidden", -3), ("train_count", 0),
+                        ("noise", -1.0), ("noise", math.nan), ("noise", math.inf)):
+        with pytest.raises(ValueError, match=name):
+            train_toy(0, epochs=5, **{name: value})
 
 
 def test_toy_model_arrays_are_read_only(tmp_path):
@@ -642,6 +648,12 @@ def test_load_rejects_an_empty_quadratic_window(tmp_path):
     assert oracle.with_window(0, 5).curvature is oracle.curvature
     with pytest.raises(ValueError, match="sample_count must be >= 1"):
         load_oracle(path, eval_count=0)
+    # a negative start is refused as a toy refuses it, whether or not the count changes
+    for count in (None, 1, 5):
+        with pytest.raises(ValueError, match="eval_start must be >= 0"):
+            load_oracle(path, eval_start=-5, eval_count=count)
+    with pytest.raises(ValueError, match="eval_start must be >= 0"):
+        oracle.with_window(-1, 1)
 
 
 def test_save_rejects_unknown_oracle(tmp_path):

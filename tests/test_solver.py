@@ -53,6 +53,11 @@ def _instance(seed: int, sizes, menu_bits, rho: float = 0.7, *, psd: bool = True
     return m
 
 
+def _matrix(entries, sizes, menu_bits) -> SensitivityMatrix:
+    """A dense array wrapped as the solver's problem type."""
+    return SensitivityMatrix(BitMenu(menu_bits), sizes, entries, 1)
+
+
 def _mid_budget(m: SensitivityMatrix, frac: float = 0.5) -> SizeBudget:
     lo = sum(s * m.menu.bits[0] for s in m.layer_sizes)
     hi = sum(s * m.menu.bits[-1] for s in m.layer_sizes)
@@ -119,18 +124,10 @@ def test_objective_hand_computation():
 def test_objective_raw_array_route():
     m = golden_quartet_matrix()
     a = BitAssignment((2, 2, 32, 32))
-    direct = objective(m.entries, a, sizes=m.layer_sizes, menu=m.menu)
-    assert direct == objective(m, a)
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError, match="SensitivityMatrix"):
         objective(m.entries, a)
     with pytest.raises(ValueError):
         objective(m, BitAssignment((2, 2)))
-    with pytest.raises(ValueError):
-        objective(m, a, sizes=(9, 9, 9, 9))
-    with pytest.raises(ValueError, match="bit menu disagrees"):
-        objective(m, a, menu=(2, 4))
-    with pytest.raises(ValueError, match=r"entries must have shape \(8, 8\)"):
-        objective(m.entries[:6, :6], a, sizes=m.layer_sizes, menu=m.menu)
     with pytest.raises(ValueError, match="a budget is required"):
         solve_exhaustive(m, budget=None)
 
@@ -320,7 +317,7 @@ def test_enumeration_window_covers_cancelling_sums():
         entries = _cancelling_matrix(seed)
         wmat = _size_table(sizes, menu_bits, 10 ** 6)
         want = _node_by_brute_force(entries, menu_bits, wmat, np.full(6, -1), 10 ** 6)
-        report = solve_exhaustive(entries, sizes, menu_bits, 10 ** 6)
+        report = solve_exhaustive(_matrix(entries, sizes, menu_bits), 10 ** 6)
         assert (report.objective, report.size_bits, report.assignment.bits) == want
         _check_nodes_match_brute_force(entries, sizes, menu_bits, np.random.default_rng(seed))
 
@@ -333,10 +330,11 @@ def test_exhaustive_memory_stays_bounded():
     entries = entries @ entries / 40
     entries = np.triu(entries) + np.triu(entries, 1).T
     sizes = tuple(int(s) for s in rng.integers(1, 5, size=20))
-    report, peak = traced_peak(solve_exhaustive, entries, sizes, (2, 8), 5 * sum(sizes))
+    m = _matrix(entries, sizes, (2, 8))
+    report, peak = traced_peak(solve_exhaustive, m, 5 * sum(sizes))
     assert report.nodes == 2 ** 20
     assert peak < 16 * 2 ** 20
-    assert report.objective == solve_bnb(entries, sizes, (2, 8), 5 * sum(sizes)).objective
+    assert report.objective == solve_bnb(m, 5 * sum(sizes)).objective
 
 
 def test_exhaustive_tails_are_shared_node_sized_tables(monkeypatch):
@@ -349,13 +347,13 @@ def test_exhaustive_tails_are_shared_node_sized_tables(monkeypatch):
     for _ in range(2):
         entries = _random_symmetric(rng, 30)
         entries = entries @ entries / 30
-        entries = np.triu(entries) + np.triu(entries, 1).T
+        m = _matrix(np.triu(entries) + np.triu(entries, 1).T, sizes, (2, 8))
         rows.clear()
-        report, peak = traced_peak(solve_exhaustive, entries, sizes, (2, 8), budget)
+        report, peak = traced_peak(solve_exhaustive, m, budget)
         built.append(list(rows))
         assert report.nodes == 2 ** 15
         assert peak < 2 * 2 ** 20
-        assert report.objective == solve_bnb(entries, sizes, (2, 8), budget).objective
+        assert report.objective == solve_bnb(m, budget).objective
     # The first solve builds only node-sized tables, the second none.
     assert built[0] and max(built[0]) <= solver.SUBCUBE_LIMIT
     assert built[1] == []
@@ -366,8 +364,9 @@ def test_models_of_2_53_bits_are_refused():
     # Enumeration scores sizes in float64, exact only below 2**53.
     for solve in (solve_exhaustive, solve_bnb):
         with pytest.raises(ValueError, match=r"2\*\*53 bits"):
-            solve(np.eye(2), (2 ** 50,), (2, 8), 2 ** 60)
-    assert solve_exhaustive(np.eye(2), (2 ** 50 - 1,), (2, 8), 2 ** 60).size_bits == 2 ** 51 - 2
+            solve(_matrix(np.eye(2), (2 ** 50,), (2, 8)), 2 ** 60)
+    m = _matrix(np.eye(2), (2 ** 50 - 1,), (2, 8))
+    assert solve_exhaustive(m, 2 ** 60).size_bits == 2 ** 51 - 2
 
 
 def test_exhaustive_all_max_bits_when_budget_allows():
@@ -379,33 +378,9 @@ def test_exhaustive_all_max_bits_when_budget_allows():
 
 def test_exhaustive_refuses_oversized_space():
     assert 2 ** 24 > EXHAUSTIVE_LIMIT
-    entries = np.zeros((48, 48))
+    m = _matrix(np.zeros((48, 48)), [1] * 24, (2, 4))
     with pytest.raises(SearchSpaceError):
-        solve_exhaustive(entries, [1] * 24, (2, 4), budget=SizeBudget(10 ** 9))
-
-
-def test_raw_entries_need_at_least_one_layer():
-    for solve in (solve_exhaustive, solve_bnb):
-        with pytest.raises(ValueError, match="at least one layer"):
-            solve(np.zeros((0, 0)), (), (2, 4), 10)
-
-
-def test_raw_entries_need_positive_layer_sizes():
-    # A zero size used to divide by zero inside the LMO, and a negative one
-    # returned an answer.
-    rng = np.random.default_rng(0)
-    a = rng.normal(size=(24, 24))
-    g = a @ a.T / 24
-    layer = np.repeat(np.arange(12), 2)
-    g[(layer[:, None] == layer[None, :]) & ~np.eye(24, dtype=bool)] = 0.0
-    g[1::2, 1::2][np.diag_indices(12)] -= 0.5
-    for bad in (0, -1):
-        sizes = (1, bad) + (1,) * 10
-        for solve in (solve_exhaustive, solve_bnb, solve_diagonal_only):
-            with pytest.raises(ValueError, match="layer sizes must be positive"):
-                solve(g, sizes, (2, 4), 30)
-        with pytest.raises(ValueError, match="layer sizes must be positive"):
-            objective(g, BitAssignment([2] * 12), sizes=sizes, menu=(2, 4))
+        solve_exhaustive(m, budget=SizeBudget(10 ** 9))
 
 
 def test_budgets_beyond_int64_are_searched(monkeypatch):
@@ -491,7 +466,7 @@ def test_bnb_time_limit_degrades_to_incumbent():
 def test_bnb_rejects_unknown_options():
     m = golden_quartet_matrix()
     with pytest.raises(TypeError):
-        solve_with_method("full", m, None, None, SizeBudget(68), fw_tol_typo=1.0)
+        solve_with_method("full", m, SizeBudget(68), fw_tol_typo=1.0)
 
 
 @pytest.mark.parametrize("name, value", [
@@ -502,7 +477,7 @@ def test_bnb_rejects_invalid_limits(name, value):
     m = golden_quartet_matrix()
     for method in ("full", "diag", "block"):
         with pytest.raises(ValueError, match=name):
-            solve_with_method(method, m, None, None, SizeBudget(68),
+            solve_with_method(method, m, SizeBudget(68),
                               block_partition=[[0, 1], [2, 3]], **{name: value})
     # also where the budget is infeasible, so that no sweep row hides it
     with pytest.raises(ValueError, match=name):
@@ -589,8 +564,8 @@ def test_block_partition_validation():
         solve_block(m, budget=budget, block_partition=[(0, 1)])
     with pytest.raises(ValueError):
         solve_block(m, budget=budget, block_partition=[(0, 1), (1, 2, 3)])
-    with pytest.raises(ValueError):
-        solve_block(m, budget=budget)
+    with pytest.raises(ValueError, match="requires a block partition"):
+        solve_block(m, budget, None)
 
 
 # ---------------------------------------------------------------------------
@@ -725,8 +700,8 @@ def test_bnb_prunes_negative_curvature_through_a_shift(monkeypatch):
     # bound every node that has a choice left instead of enumerating it
     monkeypatch.setattr(solver, "SUBCUBE_LIMIT", 1)
     for limit in (4, 6, 8):
-        report = solve_bnb(entries, (1, 1), (2, 4), SizeBudget(limit))
-        best = solve_exhaustive(entries, (1, 1), (2, 4), SizeBudget(limit))
+        report = solve_bnb(_matrix(entries, (1, 1), (2, 4)), SizeBudget(limit))
+        best = solve_exhaustive(_matrix(entries, (1, 1), (2, 4)), SizeBudget(limit))
         _assert_shift_makes_psd(entries, report.shift)
         assert report.proved
         assert (report.objective, report.assignment.bits) == (
@@ -850,9 +825,9 @@ def test_search_order_is_pinned(monkeypatch):
 def test_dispatch_validation():
     m = golden_quartet_matrix()
     with pytest.raises(ValueError):
-        solve_with_method("simulated-annealing", m, None, None, SizeBudget(68))
+        solve_with_method("simulated-annealing", m, SizeBudget(68))
     with pytest.raises(TypeError):
-        solve_with_method("exhaustive", m, None, None, SizeBudget(68), node_limit=5)
+        solve_with_method("exhaustive", m, SizeBudget(68), node_limit=5)
     for method in METHODS:
         assert method in ("full", "diag", "block", "exhaustive")
 
@@ -860,13 +835,31 @@ def test_dispatch_validation():
 def test_dispatch_routes_methods():
     m = golden_quartet_matrix()
     budget = SizeBudget(GOLDEN_QUARTET_BUDGET_BITS)
-    full = solve_with_method("full", m, None, None, budget)
+    full = solve_with_method("full", m, budget)
     assert full.method == "full"
-    ex = solve_with_method("exhaustive", m, None, None, budget)
+    ex = solve_with_method("exhaustive", m, budget)
     assert ex.method == "exhaustive" and ex.objective == full.objective
-    blk = solve_with_method("block", m, None, None, budget,
-                            block_partition=[(0, 1), (2, 3)])
+    blk = solve_with_method("block", m, budget, block_partition=[(0, 1), (2, 3)])
     assert blk.method == "block"
+
+
+def test_entry_points_take_a_matrix_then_a_positional_budget():
+    m = golden_quartet_matrix()
+    budget = SizeBudget(GOLDEN_QUARTET_BUDGET_BITS)
+    halves = [(0, 1), (2, 3)]
+    best = solve_exhaustive(m, budget)
+    assert best.objective == objective(m, best.assignment)
+    for report in (solve_bnb(m, budget), solve_diagonal_only(m, budget),
+                   solve_block(m, budget, halves), solve_with_method("full", m, budget),
+                   sweep(m, [budget])[0]):
+        assert report.proved and report.budget_bits == GOLDEN_QUARTET_BUDGET_BITS
+    calls = [lambda g: objective(g, best.assignment), lambda g: solve_exhaustive(g, budget),
+             lambda g: solve_bnb(g, budget), lambda g: solve_diagonal_only(g, budget),
+             lambda g: solve_block(g, budget, halves),
+             lambda g: solve_with_method("diag", g, budget), lambda g: sweep(g, [budget])]
+    for call in calls:
+        with pytest.raises(TypeError, match="SensitivityMatrix"):
+            call(m.entries)
 
 
 def test_sweep_reports_and_monotonicity():
@@ -890,8 +883,8 @@ def test_sweep_inline_infeasible_and_order_check():
     assert reports[1].status == "optimal"
     with pytest.raises(ValueError):
         sweep(m, budgets=[lo + 5, lo])
-    with pytest.raises(ValueError):
-        sweep(m, budgets=None)
+    with pytest.raises(TypeError):
+        sweep(m, None)
 
 
 # ---------------------------------------------------------------------------
