@@ -388,8 +388,7 @@ def solve_exhaustive(matrix: SensitivityMatrix, budget) -> SolveReport:
     """
     _require_matrix(matrix)
     limit = _as_budget(budget).limit_bits
-    num_layers = matrix.num_layers
-    nb = len(matrix.menu)
+    num_layers, nb = matrix.num_layers, len(matrix.menu)
     total = nb ** num_layers
     if total > EXHAUSTIVE_LIMIT:
         raise SearchSpaceError(
@@ -552,8 +551,7 @@ def _bnb_core(matrix, entries, budget, method, *,
     if time_limit is not None and not (isinstance(time_limit, numbers.Real)
                                        and time_limit >= 0):
         raise ValueError(f"time_limit must be None or a number >= 0, got {time_limit!r}")
-    menu_bits = matrix.menu.bits
-    num_layers = matrix.num_layers
+    menu_bits, num_layers = matrix.menu.bits, matrix.num_layers
     nb = len(menu_bits)
     wmat = _size_table(matrix.layer_sizes, menu_bits, limit)
     layers = np.arange(num_layers)
@@ -678,6 +676,9 @@ def sweep(matrix: SensitivityMatrix, budgets, *, method: str = "full",
           block_partition=None, **options) -> list[SolveReport]:
     """One solve per budget, budgets ascending; infeasible points are
     reported inline instead of raising."""
+    _require_matrix(matrix)
+    if budgets is None:
+        raise ValueError("a list of budgets is required")
     coerced = [_as_budget(b) for b in budgets]
     limits = [b.limit_bits for b in coerced]
     if limits != sorted(limits):
@@ -688,8 +689,7 @@ def sweep(matrix: SensitivityMatrix, budgets, *, method: str = "full",
             reports.append(solve_with_method(method, matrix, b,
                                              block_partition=block_partition, **options))
         except InfeasibleBudgetError:
-            reports.append(SolveReport(method=method, status="infeasible",
-                                       assignment=None, objective=None,
-                                       size_bits=None, proved=False,
+            reports.append(SolveReport(method=method, status="infeasible", assignment=None,
+                                       objective=None, size_bits=None, proved=False,
                                        budget_bits=b.limit_bits))
     return reports

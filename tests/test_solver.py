@@ -856,7 +856,8 @@ def test_entry_points_take_a_matrix_then_a_positional_budget():
     calls = [lambda g: objective(g, best.assignment), lambda g: solve_exhaustive(g, budget),
              lambda g: solve_bnb(g, budget), lambda g: solve_diagonal_only(g, budget),
              lambda g: solve_block(g, budget, halves),
-             lambda g: solve_with_method("diag", g, budget), lambda g: sweep(g, [budget])]
+             lambda g: solve_with_method("diag", g, budget), lambda g: sweep(g, [budget]),
+             lambda g: sweep(g, [])]
     for call in calls:
         with pytest.raises(TypeError, match="SensitivityMatrix"):
             call(m.entries)
@@ -883,7 +884,7 @@ def test_sweep_inline_infeasible_and_order_check():
     assert reports[1].status == "optimal"
     with pytest.raises(ValueError):
         sweep(m, budgets=[lo + 5, lo])
-    with pytest.raises(TypeError):
+    with pytest.raises(ValueError, match="a list of budgets is required"):
         sweep(m, None)
 
 
