@@ -619,7 +619,9 @@ def _positive_ints(v) -> bool:
 
 # What each kind of header field must hold.
 _FIELD_KINDS = {
-    "an integer": lambda v: type(v) is int,
+    # numpy seeds must be >= 0, and accuracy needs a training sample.
+    "an integer >= 0": lambda v: type(v) is int and v >= 0,
+    "an integer >= 1": lambda v: type(v) is int and v >= 1,
     "a finite number": _finite,
     "a finite number >= 0": lambda v: _finite(v) and v >= 0,
     "a list of positive integers": _positive_ints,
@@ -654,9 +656,10 @@ def load_oracle(path, *, eval_start: int = 0, eval_count: int | None = None) -> 
         views = _flat_views(_immutable(payload), shapes)
         depth = len(dims) - 1
         model = ToyModel(dims=dims, weights=tuple(views[:depth]), biases=tuple(views[depth:]),
-                         seed=_header_field(header, path, "seed", "an integer"),
+                         seed=_header_field(header, path, "seed", "an integer >= 0"),
                          noise=float(_header_field(header, path, "noise", "a finite number >= 0")),
-                         train_count=_header_field(header, path, "train_count", "an integer"))
+                         train_count=_header_field(header, path, "train_count",
+                                                   "an integer >= 1"))
         oracle = ToyClassifierOracle(model)
     elif kind == "quadratic":
         sizes = tuple(_header_field(header, path, "layer_sizes", "a list of positive integers"))

@@ -23,11 +23,13 @@ sum makes it quadratic without adding curvature.  This works for
 indefinite matrices too, whose ``a`` is negative.
 A node's Frank-Wolfe solve stops as soon as its primal value drops below
 the pruning cut, because no bound at that node can prune it any more.
-Nodes with at most ``SUBCUBE_LIMIT`` assignments, and ``solve_exhaustive``'s
-whole space, are enumerated instead: every assignment's float score is
-read off one-hot matrix products over the free layers alone, and only the
-assignments within a proven round-off window of the smallest are scored
-exactly (see ``_enumerate_node``).
+Nodes with at most ``SUBCUBE_LIMIT`` (2**15) assignments, the root
+included, and ``solve_exhaustive``'s whole space, are enumerated instead:
+every assignment's float score is read off one-hot matrix products over
+the free layers alone, on tables of at most ``_TAIL_ROWS`` (2,048) rows,
+and only the assignments within a proven round-off window of the smallest
+are scored exactly (see ``_enumerate_node``).  The comment above
+``SUBCUBE_LIMIT`` records how it was tuned.
 ``solve_diagonal_only`` and ``solve_block`` rerun the same search on
 copies with the couplings fully or partially masked to zero.
 
@@ -69,11 +71,20 @@ __all__ = [
 METHODS = ("full", "diag", "block", "exhaustive")
 
 EXHAUSTIVE_LIMIT = 10_000_000
-# Nodes whose remaining search space is at most this large are enumerated
-# outright instead of bounded.  Re-measured with one-hot scoring (1 BLAS
-# thread): 8,192 and 32,768 cut the enum-many searches by 13% and 4% but
-# slowed the 16-layer quad16 search by 29% and 120%.
-SUBCUBE_LIMIT = 2048
+# A node with at most this many assignments, the root included, is
+# enumerated outright instead of bounded.  ``solve_bnb`` ms (nodes /
+# Frank-Wolfe iterations) with 1 BLAS thread on 2 vCPUs, over the 100
+# enum-many (test_03) instances and on the 16-layer quad16 instance:
+#
+#     limit   enum-many           quad16 s1
+#     2**11   96.8 (715 / 998)    11.4 (109 / 187)
+#     2**15   21.6 (119 / 7)       9.5 (64 / 110)
+#     2**16   16.2 (100 / 0)      10.9 (52 / 86)
+#     2**20   16.5 (100 / 0)      44.5 (28 / 36)
+#
+# 2**16 enumerates every enum-many root but slows quad16's search, and the
+# held-out seeds (enum-many 3, quad16 3) rank the limits the same way.
+SUBCUBE_LIMIT = 2 ** 15
 # Frank-Wolfe stops at this relative duality gap or after this many steps.
 FW_TOL = 1e-9
 FW_MAX_ITER = 1500
@@ -84,7 +95,10 @@ BITS_PER_MB = 8 * 2 ** 20
 # float64).  A tail's one-hot table stays within it too, which binds only
 # where it is set far lower (see ``_enumerate_node``).
 _ENUM_TERMS = 2 ** 20
-# Read-only one-hot tables of at most SUBCUBE_LIMIT rows, by (nb, count),
+# Largest one-hot tail table, in rows; larger boxes run as head rows
+# against a tail of at most this many (see ``_enumerate_node``).
+_TAIL_ROWS = 2048
+# Read-only one-hot tables of at most _TAIL_ROWS rows, by (nb, count),
 # built on first use and held for the process: about 0.7 MiB per menu size.
 _ONE_HOT = {}
 # Relative slack of the enumeration window, which also covers the proven
@@ -279,9 +293,9 @@ def _enumerate_node(en, fixed):
     ``x_p**2 == x_p``.  A one-hot table ``X`` scores all its rows as
     ``rowsum((X Q) * X)``; same-layer cross-bit entries only ever meet a
     zero of ``X``.  A box splits its free layers into a head and a tail,
-    the longest suffix whose table has at most ``SUBCUBE_LIMIT`` rows and
-    ``_ENUM_TERMS`` entries; at the default ``_ENUM_TERMS`` a
-    branch-and-bound node's box is all tail.  Tail tables come from
+    the longest suffix whose table has at most ``_TAIL_ROWS`` rows and
+    ``_ENUM_TERMS`` entries; at the defaults a branch-and-bound node's head
+    rows fit in one chunk.  Tail tables come from
     ``_ONE_HOT``, built once per process and shared read-only.  The tail's
     scores are built once per box.  Head rows go in lexicographic order, in
     chunks of ``_ENUM_TERMS`` over the tail's row count (at least one); a
@@ -328,9 +342,9 @@ def _enumerate_node(en, fixed):
     else:
         # Every layer is free, as at the root: Q is the matrix itself.
         quad, const, weights, room = entries, 0.0, en.weights, en.limit
-    # The tail is the longest suffix of free layers whose table is a node's.
+    # The tail is the longest suffix of free layers whose table fits both caps.
     t = k
-    while t > 1 and (nb ** t > SUBCUBE_LIMIT or nb ** t * t * nb > _ENUM_TERMS):
+    while t > 1 and (nb ** t > _TAIL_ROWS or nb ** t * t * nb > _ENUM_TERMS):
         t -= 1
     h = k - t
     split = h * nb

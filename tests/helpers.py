@@ -1,12 +1,14 @@
 """Shared fixtures-in-spirit for the test suite: golden micro-instances,
-noisy indefinite instances, an evaluation-counting oracle wrapper, a
-matrix replay oracle, a reference toy trainer, a tracemalloc peak probe,
-and an in-process CLI runner.
+noisy indefinite instances, the acceptance gate's enumeration-scale
+instances, an evaluation-counting oracle wrapper, a matrix replay oracle,
+a reference toy trainer, a tracemalloc peak probe, and an in-process CLI
+runner.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import io
 import tracemalloc
 
@@ -24,6 +26,7 @@ from mixprec import (
 from mixprec.cli import main as cli_main
 from mixprec.oracles import _TAG_INIT, _cross_entropy, _forward, make_moons
 from mixprec.solver import SizeBudget, _quadratic_form
+from mixprec.spectra import psd_project
 
 # Seed-stream tag of the replay oracle's synthetic weights.
 _TAG_REPLAY = 41
@@ -81,6 +84,29 @@ def noisy_instance(seed: int) -> tuple[SensitivityMatrix, SizeBudget]:
     lo = 2 * sum(sizes)
     hi = 8 * sum(sizes)
     return noisy, SizeBudget(int(lo + float(rng.uniform(0.2, 0.8)) * (hi - lo)))
+
+
+@functools.lru_cache(maxsize=1)
+def enumeration_scale_instances() -> tuple[tuple[SensitivityMatrix, SizeBudget], ...]:
+    """The acceptance gate's ``test_03`` instances, drawn in its order from
+    seed 2024: 100 PSD-projected matrices of at most 1e5 assignments, each
+    with its budget."""
+    rng = np.random.default_rng(2024)
+    out = []
+    for case in range(100):
+        if case % 3 == 0:
+            menu = BitMenu((2, 8))
+            num_layers = int(rng.integers(4, 17))
+        else:
+            menu = BitMenu((2, 4, 8))
+            num_layers = int(rng.integers(3, 11))
+        sizes = [int(s) for s in rng.integers(2, 5, size=num_layers)]
+        m = build_matrix(random_quadratic(case, sizes, float(rng.uniform(0.2, 1.0))), menu)
+        lo = sum(s * menu.bits[0] for s in sizes)
+        hi = sum(s * menu.bits[-1] for s in sizes)
+        budget = SizeBudget(int(lo + float(rng.uniform(0.2, 0.8)) * (hi - lo)))
+        out.append((m.with_entries(psd_project(m.entries)), budget))
+    return tuple(out)
 
 
 def write_dense(path, matrix: SensitivityMatrix) -> None:

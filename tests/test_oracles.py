@@ -702,7 +702,13 @@ def test_container_error_reporting(tmp_path):
             (toy, lambda header: {**header, "dims": [3, 1, 4]}, "'dims'"),
             (toy, lambda header: {**header, "dims": [2, 2, 1]}, "'dims'"),
             (toy, lambda header: {**header, "dims": [2]}, "'dims'"),
-            (toy, lambda header: {**header, "noise": -0.5}, "'noise'")]:
+            (toy, lambda header: {**header, "noise": -0.5}, "'noise'"),
+            # numpy refuses a negative seed, and no training sample leaves
+            # the toy's training accuracy undefined
+            (toy, lambda header: {**header, "seed": -1}, "'seed'"),
+            (toy, lambda header: {**header, "train_count": 0}, "'train_count'"),
+            (toy, lambda header: {**header, "train_count": -5}, "'train_count'"),
+            (toy, lambda header: {**header, "train_count": 2.0}, "'train_count'")]:
         raw = source.read_bytes()
         hlen = int.from_bytes(raw[8:12], "little")
         blob = json.dumps(edit(json.loads(raw[12:12 + hlen]))).encode()

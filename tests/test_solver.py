@@ -38,6 +38,7 @@ from mixprec.spectra import _psd_shift, psd_project
 from helpers import (
     GOLDEN_QUARTET_BUDGET_BITS,
     GOLDEN_TRIO_BUDGET_BITS,
+    enumeration_scale_instances,
     golden_quartet_matrix,
     golden_trio_matrix,
     noisy_instance,
@@ -261,9 +262,9 @@ def test_enumerate_node_matches_brute_force(monkeypatch, terms):
 
 
 def test_enumerate_node_matches_brute_force_with_row_capped_tails(monkeypatch):
-    # At SUBCUBE_LIMIT 4 a tail keeps at most two layers of (2, 8) and one
-    # of (2, 4, 8), so every box of three or more free layers splits.
-    monkeypatch.setattr(solver, "SUBCUBE_LIMIT", 4)
+    # At _TAIL_ROWS 4 a tail keeps at most two layers of (2, 8) and one of
+    # (2, 4, 8), so every box of three or more free layers splits.
+    monkeypatch.setattr(solver, "_TAIL_ROWS", 4)
     rows = _record_one_hot(monkeypatch)
     rng = np.random.default_rng(11)
     for case in range(8):
@@ -324,7 +325,7 @@ def test_enumeration_window_covers_cancelling_sums():
 
 def test_exhaustive_memory_stays_bounded():
     # 2**20 assignments: enumeration holds one chunk of _ENUM_TERMS scores
-    # (8 MiB) beside one-hot tables of at most SUBCUBE_LIMIT rows.
+    # (8 MiB) beside one-hot tables of at most _TAIL_ROWS rows.
     rng = np.random.default_rng(0)
     entries = _random_symmetric(rng, 40)
     entries = entries @ entries / 40
@@ -354,8 +355,8 @@ def test_exhaustive_tails_are_shared_node_sized_tables(monkeypatch):
         assert report.nodes == 2 ** 15
         assert peak < 2 * 2 ** 20
         assert report.objective == solve_bnb(m, budget).objective
-    # The first solve builds only node-sized tables, the second none.
-    assert built[0] and max(built[0]) <= solver.SUBCUBE_LIMIT
+    # The first solve builds only tail-sized tables, the second none.
+    assert built[0] and max(built[0]) <= solver._TAIL_ROWS
     assert built[1] == []
     assert not any(table.flags.writeable for table in solver._ONE_HOT.values())
 
@@ -437,7 +438,9 @@ def test_bnb_without_psd_assumption_still_exact():
         assert b.proved
 
 
-def test_bnb_branches_beyond_the_enumeration_floor():
+def test_bnb_branches_beyond_the_enumeration_floor(monkeypatch):
+    # 2**14 assignments: at the default limit the root itself is enumerated.
+    monkeypatch.setattr(solver, "SUBCUBE_LIMIT", 2048)
     m = _instance(11, [3] * 14, (2, 8), rho=0.6)
     budget = _mid_budget(m, 0.5)
     report = solve_bnb(m, budget=budget)
@@ -447,13 +450,48 @@ def test_bnb_branches_beyond_the_enumeration_floor():
     assert report.objective == check.objective
 
 
-def test_bnb_node_limit_degrades_to_incumbent():
+def test_bnb_node_limit_degrades_to_incumbent(monkeypatch):
+    monkeypatch.setattr(solver, "SUBCUBE_LIMIT", 2048)
     m = _instance(11, [3] * 14, (2, 8), rho=0.6)
     report = solve_bnb(m, budget=_mid_budget(m, 0.5), node_limit=1)
     assert report.status == "incumbent"
     assert not report.proved
     assert report.assignment is not None
     assert report.size_bits <= _mid_budget(m, 0.5).limit_bits
+
+
+def test_bnb_enumerates_every_root_within_the_limit():
+    # On the acceptance gate's instances, 93 of the 100 searches are one
+    # enumerated root node; the other 7 are bounded and branched on.
+    enumerated = 0
+    for m, budget in enumeration_scale_instances():
+        reference = solve_exhaustive(m, budget)
+        report = solve_bnb(m, budget)
+        if len(m.menu) ** m.num_layers <= solver.SUBCUBE_LIMIT:
+            assert (report.nodes, report.fw_iterations) == (1, 0)
+            enumerated += 1
+        assert report.proved
+        assert (report.objective, report.assignment.bits, report.size_bits) == (
+            reference.objective, reference.assignment.bits, reference.size_bits)
+    assert enumerated == 93
+
+
+def test_bnb_root_enumeration_keeps_tables_at_tail_size(monkeypatch):
+    # 2**15 assignments, the most a root may have and still be enumerated,
+    # run as 16 head rows against one 2048-row tail.
+    rows = _record_one_hot(monkeypatch)
+    rng = np.random.default_rng(5)
+    sizes = tuple(int(s) for s in rng.integers(1, 5, size=15))
+    entries = _random_symmetric(rng, 30)
+    entries = entries @ entries / 30
+    m = _matrix(np.triu(entries) + np.triu(entries, 1).T, sizes, (2, 8))
+    report, peak = traced_peak(solve_bnb, m, 5 * sum(sizes))
+    assert (report.nodes, report.fw_iterations) == (1, 0)
+    assert max(rows) == solver._TAIL_ROWS == 2048
+    assert peak < 2 * 2 ** 20
+    reference = solve_exhaustive(m, 5 * sum(sizes))
+    assert (report.objective, report.assignment.bits) == (
+        reference.objective, reference.assignment.bits)
 
 
 def test_bnb_time_limit_degrades_to_incumbent():
@@ -710,10 +748,12 @@ def test_bnb_prunes_negative_curvature_through_a_shift(monkeypatch):
     assert report.nodes < 7
 
 
-def test_bnb_proof_holds_on_indefinite_matrices():
+def test_bnb_proof_holds_on_indefinite_matrices(monkeypatch):
     # Frank-Wolfe sees no clearly concave step on these, so only a check of
     # the matrix itself keeps their unshifted bounds from pruning the
-    # optimum.  The node limits are one below the unpruned search's counts.
+    # optimum.  The node limits are one below the unpruned search's counts,
+    # which were counted with nodes of more than 2048 assignments bounded.
+    monkeypatch.setattr(solver, "SUBCUBE_LIMIT", 2048)
     for seed, node_limit in ((71, 120), (92, 12), (244, 120), (282, 39)):
         m, budget = noisy_instance(seed)
         report = solve_bnb(m, budget=budget, node_limit=node_limit)
@@ -810,7 +850,7 @@ def test_search_order_is_pinned(monkeypatch):
     assert report.proved
     assert _search_summary(report) == (
         (4, 4, 8, 4, 4, 4, 4, 8, 4, 4, 4, 8, 4, 4, 4, 8), 4.274448556423196,
-        109, 187, -0.8475090453346978)
+        64, 110, -0.8475090453346978)
     monkeypatch.setattr(solver, "SUBCUBE_LIMIT", 4)
     for seed, *pinned in _PINNED_NOISY_SEARCHES:
         m, budget = noisy_instance(seed)
@@ -927,9 +967,30 @@ def test_bounding_path_matches_exhaustive_on_indefinite_matrices(monkeypatch):
         assert report.size_bits == reference.size_bits
 
 
-def test_block_extremes_equal_full_and_diagonal():
+def test_bounding_path_matches_exhaustive_at_enumeration_scale(monkeypatch):
+    # At a limit of 2048 the 35 acceptance gate instances with more
+    # assignments than that are bounded, which keeps the bounding path
+    # checked against enumeration at this scale.
+    monkeypatch.setattr(solver, "SUBCUBE_LIMIT", 2048)
+    bounded = 0
+    for m, budget in enumeration_scale_instances():
+        if len(m.menu) ** m.num_layers <= 2048:
+            continue
+        reference = solve_exhaustive(m, budget)
+        report = solve_bnb(m, budget)
+        assert report.fw_iterations > 0
+        assert report.proved
+        assert (report.objective, report.assignment.bits, report.size_bits) == (
+            reference.objective, reference.assignment.bits, reference.size_bits)
+        bounded += 1
+    assert bounded == 35
+
+
+def test_block_extremes_equal_full_and_diagonal(monkeypatch):
     # Without same-layer cross-bit entries, one all-layer block keeps every
-    # coupling and singleton blocks keep only the diagonal.
+    # coupling and singleton blocks keep only the diagonal.  At a limit of
+    # 2048 its 2**12 assignments are branched on, not enumerated outright.
+    monkeypatch.setattr(solver, "SUBCUBE_LIMIT", 2048)
     m = _instance(11, [2] * 12, (2, 8), rho=0.6, psd=False)
     assert m.has_block_zeros()
     budget = _mid_budget(m, 0.5)
