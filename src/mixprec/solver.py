@@ -14,16 +14,22 @@ simplices cut by the budget half-space, whose linear subproblem is a
 multiple-choice-knapsack LP solved greedily on the free layers' convex
 hulls.  Bounds come from a convexified matrix in
 the manner of the quadratic convex reformulation (Hammer & Rubin, RAIRO
-1970; Billionnet & Elloumi, Math. Program. 109, 2007): the largest
+1970; Billionnet & Elloumi, Math. Program. 109, 2007; Billionnet,
+Elloumi & Plateau, Discrete Appl. Math. 157, 2009): the largest
 diagonal ``a``, proportional to ``diag(G)``, that leaves ``G - diag(a)``
-PSD is moved into a linear term ``a'x``, which tightens the relaxation
-because ``x_p**2 <= x_p`` on it and equals ``a'x`` on one-hot points.  The
-linear term is folded into each layer's block, where the layer's simplex
-sum makes it quadratic without adding curvature.  This works for
-indefinite matrices too, whose ``a`` is negative.
+PSD on the simplex subspace, the directions that keep every layer's
+simplex sum, is moved into a linear term ``a'x``, which tightens the
+relaxation because ``x_p**2 <= x_p`` on it and equals ``a'x`` on one-hot
+points.  The linear term is folded into each layer's block, where the
+layer's simplex sum makes it quadratic without adding curvature.  This
+works for matrices indefinite on that subspace too, whose ``a`` is
+negative.  The first node that needs a bound also seeds the incumbent
+with a local search (see ``_local_search``), from the all-smallest
+assignment before its Frank-Wolfe solve and from its relaxed point,
+rounded down in size, after it.
 A node's Frank-Wolfe solve stops as soon as its primal value drops below
 the pruning cut, because no bound at that node can prune it any more.
-Nodes with at most ``SUBCUBE_LIMIT`` (2**15) assignments, the root
+Nodes with at most ``SUBCUBE_LIMIT`` (2**16) assignments, the root
 included, and ``solve_exhaustive``'s whole space, are enumerated instead:
 every assignment's float score is read off one-hot matrix products over
 the free layers alone, on tables of at most ``_TAIL_ROWS`` (2,048) rows,
@@ -74,17 +80,20 @@ EXHAUSTIVE_LIMIT = 10_000_000
 # A node with at most this many assignments, the root included, is
 # enumerated outright instead of bounded.  ``solve_bnb`` ms (nodes /
 # Frank-Wolfe iterations) with 1 BLAS thread on 2 vCPUs, over the 100
-# enum-many (test_03) instances and on the 16-layer quad16 instance:
+# enum-many (test_03) instances and on the 16-layer quad16 instance, each
+# summed over the median of its runs, with the local-search incumbent and
+# the subspace convexification:
 #
-#     limit   enum-many           quad16 s1
-#     2**11   96.8 (715 / 998)    11.4 (109 / 187)
-#     2**15   21.6 (119 / 7)       9.5 (64 / 110)
-#     2**16   16.2 (100 / 0)      10.9 (52 / 86)
-#     2**20   16.5 (100 / 0)      44.5 (28 / 36)
+#     limit   enum-many s2024    quad16 s1       enum-many s3     quad16 s3
+#     2**15   24.3 (119 / 16)    4.82 (22 / 50)  18.9 (108 / 7)   3.95 (22 / 34)
+#     2**16   15.5 (100 / 0)     5.46 (19 / 43)  15.0 (100 / 0)   4.47 (19 / 30)
+#     2**17   15.8 (100 / 0)     5.14 (19 / 43)  15.2 (100 / 0)   4.43 (19 / 30)
 #
-# 2**16 enumerates every enum-many root but slows quad16's search, and the
-# held-out seeds (enum-many 3, quad16 3) rank the limits the same way.
-SUBCUBE_LIMIT = 2 ** 15
+# 2**16 enumerates every enum-many root: their largest spaces are 2**16 and
+# 3**10 assignments.  That costs quad16 about 0.5 ms and saves enum-many
+# 4-9 ms.  2**17 enumerates the same nodes on both workloads, since 3**11
+# is above it, so it gains nothing over 2**16.
+SUBCUBE_LIMIT = 2 ** 16
 # Frank-Wolfe stops at this relative duality gap or after this many steps.
 FW_TOL = 1e-9
 FW_MAX_ITER = 1500
@@ -164,8 +173,9 @@ class SolveReport:
     """Outcome of one solve: the assignment plus proof and effort metadata.
 
     ``shift`` is the scale of the diagonal shift branch-and-bound bounded
-    through (see ``solve_bnb``): positive on an indefinite matrix, at most
-    0 on a PSD one, 0.0 when no node was bounded.
+    through (see ``solve_bnb``): positive on a matrix indefinite on the
+    simplex subspace, at most 0 on one PSD there, 0.0 when no node was
+    bounded.
     """
 
     method: str
@@ -472,15 +482,15 @@ def _frank_wolfe(entries, start, free, wmat, rem, stop_lb=None):
     bound seen.  ``start``, ``free`` and ``rem`` are as in ``_lmo``.
 
     Each ``f - gap`` is a valid lower bound when ``x' G x`` is convex along
-    every direction that keeps each layer's simplex sum, as it is for the
-    matrices ``_convexify`` builds.  ``stop_lb`` is the caller's pruning
-    cut.  Iteration stops once the bound clears it, or once a step brings
-    the primal value ``f`` below it: ``f`` is the objective at a feasible
-    point, so it bounds the relaxation optimum from above and no bound can
-    reach the cut any more.  Otherwise iteration stops at the relative gap
-    ``FW_TOL``, after ``FW_MAX_ITER`` steps, or once the bound stops
-    improving; the rate is sublinear on singular matrices, so chasing the
-    gap itself can be hopeless.
+    every direction that keeps each layer's simplex sum, that is PSD on the
+    simplex subspace, as the matrices ``_convexify`` builds are.
+    ``stop_lb`` is the caller's pruning cut.  Iteration stops once the bound
+    clears it, or once a step brings the primal value ``f`` below it: ``f``
+    is the objective at a feasible point, so it bounds the relaxation
+    optimum from above and no bound can reach the cut any more.  Otherwise
+    iteration stops at the relative gap ``FW_TOL``, after ``FW_MAX_ITER``
+    steps, or once the bound stops improving; the rate is sublinear on
+    singular matrices, so chasing the gap itself can be hopeless.
     """
     num_layers, nb = start.shape
     xf = start.ravel()
@@ -524,29 +534,105 @@ def _frank_wolfe(entries, start, free, wmat, rem, stop_lb=None):
     return xf.reshape(num_layers, nb), iters, best_lb
 
 
+def _congruence(matrix, basis):
+    """``V' M V`` for the block-diagonal ``V`` whose block for layer ``l`` is
+    ``basis[l]``, of shape ``(nb, k)``; built blockwise and symmetrized."""
+    num_layers, nb, k = basis.shape
+    blocks = matrix.reshape(num_layers, nb, num_layers, nb)
+    out = np.einsum("limb,mbj->limj", np.einsum("lai,lamb->limb", basis, blocks), basis)
+    out = out.reshape(num_layers * k, num_layers * k)
+    return 0.5 * (out + out.T)
+
+
 def _convexify(entries, nb):
     """Bounding matrix ``B``, cut offset ``s`` and reported shift of ``G``.
 
-    With ``w = diag(G)`` when that is positive throughout and all ones
-    otherwise, ``t`` is the smallest eigenvalue of ``W^-1/2 G W^-1/2`` and
-    ``a = t*w``, so ``Q = G - diag(a)``, a congruence of that matrix minus
-    ``t*I``, is PSD; ``s = _psd_shift(Q)`` only absorbs round-off.  ``B`` is
-    ``Q + s*I`` plus ``a`` folded into each layer's block as
-    ``(a_p + a_q) / 2``, which equals ``a'x`` on every point of the layer
-    simplices.  On one-hot points ``x' B x = x' G x + s*L``.  The shift is
-    ``-t``: ``G + shift*diag(w)`` is ``Q``.
+    Frank-Wolfe's bound needs ``B`` convex only along directions that keep
+    each layer's simplex sum, the columns of ``Z = kron(I_L, U)`` with ``U``
+    an orthonormal basis of the vectors of ``nb`` entries that sum to zero
+    (Billionnet, Elloumi & Plateau, Discrete Appl. Math. 157, 2009).  With
+    ``w = diag(G)`` when that is positive throughout and all ones otherwise,
+    ``t`` is the largest scale that leaves ``Z'(G - t*W)Z`` PSD: the
+    smallest eigenvalue of ``C^-1 Z'GZ C^-T``, with ``C`` the Cholesky
+    factor of ``Z'WZ``.  ``Z'WZ`` and ``C`` are block diagonal, one block
+    ``C_l`` per layer, so ``Z C^-T`` is built as each layer's ``U C_l^-T``
+    and no ``kron`` product is formed.  ``a = t*w`` and
+    ``Q = G - diag(a)``; ``s = _psd_shift(Z'QZ)`` only absorbs round-off,
+    since ``Z'Z = I``.  ``B`` is ``Q + s*I`` plus ``a`` folded into each
+    layer's block as ``(a_p + a_q) / 2``, which equals ``a'x`` on every
+    point of the layer simplices and has no curvature along ``Z``.  On
+    one-hot points ``x' B x = x' G x + s*L``.  The shift is ``-t``:
+    ``Z'(G + shift*W)Z`` is ``Z'QZ``.
     """
+    num_layers = len(entries) // nb
     diagonal = np.diagonal(entries)
     # Deliberate: flooring the non-positive entries instead doubles the nodes.
     w = diagonal if np.all(diagonal > 0.0) else np.ones(len(entries))
-    root = 1.0 / np.sqrt(w)
-    t = float(np.linalg.eigvalsh(entries * root[:, None] * root[None, :])[0])
+    # Helmert's basis: column j - 1 is (1, ..., 1, -j, 0, ...) / sqrt(j (j + 1)).
+    j = np.arange(1, nb)
+    helmert = np.triu(np.ones((nb, nb - 1)))
+    helmert[j, j - 1] = -j
+    helmert /= np.sqrt(j * (j + 1.0))
+    basis = np.broadcast_to(helmert, (num_layers, nb, nb - 1))
+    scaled = np.einsum("ai,la,aj->lij", helmert, w.reshape(num_layers, nb), helmert)
+    # Z C^-T, as each layer's U C_l^-T.
+    whitened = np.linalg.solve(np.linalg.cholesky(scaled), basis.transpose(0, 2, 1))
+    t = float(np.linalg.eigvalsh(_congruence(entries, whitened.transpose(0, 2, 1)))[0])
     a = t * w
     bounded = entries - np.diag(a)
-    s = _psd_shift(bounded)
+    s = _psd_shift(_congruence(bounded, basis))
     bounded += _mask_couplings(0.5 * (a[:, None] + a[None, :]), np.arange(len(entries)) // nb)
     bounded[np.diag_indices_from(bounded)] += s
     return bounded, s, -t
+
+
+def _local_search(entries, menu_bits, wmat, limit, pos):
+    """Best-improvement descent from the feasible assignment ``pos``, a
+    menu position per layer, after Fischetti & Lodi (Math. Program. 98,
+    2003); returns the exact key of the last assignment.
+
+    A move changes the positions of two layers, one of which may stay.
+    Moving layer ``l`` from flat index ``p`` to ``q`` changes ``x' G x`` by
+    ``d_q = 2(r_q - G_qp) - 2(r_p - G_pp) + G_qq - G_pp``, with ``r`` the
+    sum of ``G``'s columns at the selected flat indices; moving two layers
+    changes it by ``d_q1 + d_q2 + 2(G_q1q2 - G_q1p2 - G_p1q2 + G_p1p2)``,
+    which is ``d_q1`` when the second stays.  A pair only has to fit the
+    budget as a whole, since at a full budget only trades can improve.  The
+    scores are floats, so the caller keeps the result only if its exact key
+    is smaller than the incumbent's.  Moves that gain less than the pruning
+    margin are not taken, which also ends the descent.
+    """
+    num_layers, nb = wmat.shape
+    layer = np.repeat(np.arange(num_layers), nb)
+    # 2 G, +inf where both indices are one layer's: a layer moves once a step.
+    twice = np.where(layer[:, None] == layer, np.inf, 2.0 * entries)
+    diagonal = np.diagonal(entries)
+    weights = wmat.ravel()
+    # Every budget above the widest model's size allows the same moves.
+    limit = min(limit, int(wmat[:, -1].sum()))
+    pos = np.array(pos)
+    idx = np.arange(num_layers) * nb + pos
+    value = float(entries[np.ix_(idx, idx)].sum())
+    while True:
+        cur = idx[layer]
+        # G_qp for every flat index q and every layer's selected p.
+        near = entries[:, idx]
+        r = near.sum(axis=1)
+        single = (2.0 * (r - near[np.arange(len(layer)), layer] - r[cur] + diagonal[cur])
+                  + diagonal - diagonal[cur])
+        # Pair scores split as twice[q1, q2] + half[q1, q2] + half[q2, q1].
+        half = (single[:, None] - 2.0 * near + near[idx][layer])[:, layer]
+        delta = twice + half
+        delta += half.T
+        grow = weights - weights[cur]
+        np.putmask(delta, grow[:, None] > limit - int(weights[idx].sum()) - grow, np.inf)
+        best = int(np.argmin(delta))
+        if not delta.flat[best] < -_PRUNE_SAFETY * max(1.0, abs(value)):
+            return _exact_key(entries, menu_bits, wmat, tuple(pos.tolist()))
+        value += float(delta.flat[best])
+        for q in divmod(best, len(layer)):
+            pos[layer[q]] = q % nb
+            idx[layer[q]] = q
 
 
 def _bnb_core(matrix, entries, budget, method, *,
@@ -593,8 +679,10 @@ def _bnb_core(matrix, entries, budget, method, *,
             if best is not None and best < inc_key:
                 inc_key = best
             continue
-        if bounded is None:
+        first = bounded is None
+        if first:
             bounded, offset, shift = _convexify(entries, nb)
+            inc_key = min(inc_key, _local_search(entries, menu_bits, wmat, limit, low))
         target = inc_key[0] + offset * num_layers
         cut = target + _PRUNE_SAFETY * max(1.0, abs(target))
         x, iters, lb = _frank_wolfe(bounded, np.eye(nb)[low], np.flatnonzero(free), wmat,
@@ -605,6 +693,13 @@ def _bnb_core(matrix, entries, budget, method, *,
         rounded = np.where(free, x.argmax(1), fixed)
         if wmat[layers, rounded].sum() <= limit:
             inc_key = min(inc_key, _exact_key(entries, menu_bits, wmat, tuple(rounded.tolist())))
+        if first:
+            # The second start rounds x down in size: each layer takes its
+            # widest width within its expected size, which fits the budget
+            # as x does, up to the float sums checked here.
+            down = np.maximum((wmat <= (x * wmat).sum(1, keepdims=True)).sum(1) - 1, 0)
+            if wmat[layers, down].sum() <= limit:
+                inc_key = min(inc_key, _local_search(entries, menu_bits, wmat, limit, down))
         branch = int(np.argmax(np.where(free, 1.0 - x.max(1), -1.0)))
         for m in reversed(sorted(range(nb), key=lambda m: (-x[branch, m], m))):
             child = fixed.copy()
@@ -623,13 +718,17 @@ def solve_bnb(matrix: SensitivityMatrix, budget, **options) -> SolveReport:
     """Exact branch-and-bound over one-hot assignments.
 
     The matrix need not be PSD: the first node that needs a bound computes
-    once the scaled diagonal shift that convexifies it, and the report's
-    ``shift`` is its scale: bounds use ``G + shift*diag(w)``, with ``w`` the
-    diagonal of ``G`` if that is positive and all ones otherwise.  It is
-    positive exactly when ``G`` is indefinite (up to round-off), at most 0
-    on PSD input, and 0.0 when no node was bounded.  ``proved`` means
-    neither the ``node_limit`` nor the ``time_limit`` option cut the
-    search short.  Other option names raise ``TypeError``.
+    once the scaled diagonal shift that convexifies it on the simplex
+    subspace, and the report's ``shift`` is its scale: bounds use ``G +
+    shift*diag(w)``, with ``w`` the diagonal of ``G`` if that is positive
+    and all ones otherwise, which is PSD on that subspace.  It is positive
+    exactly when ``G`` is indefinite on the subspace (up to round-off), at
+    most 0 when ``G`` is PSD there, and 0.0 when no node was bounded.  The
+    same node seeds the incumbent with a local search; since the incumbent
+    is replaced only by a smaller exact key, that changes node counts but
+    not answers.  ``proved`` means neither the ``node_limit`` nor the
+    ``time_limit`` option cut the search short.  Other option names raise
+    ``TypeError``.
     """
     _require_matrix(matrix)
     return _bnb_core(matrix, matrix.entries, budget, "full", **options)

@@ -461,8 +461,9 @@ def test_bnb_node_limit_degrades_to_incumbent(monkeypatch):
 
 
 def test_bnb_enumerates_every_root_within_the_limit():
-    # On the acceptance gate's instances, 93 of the 100 searches are one
-    # enumerated root node; the other 7 are bounded and branched on.
+    # On the acceptance gate's instances every search is one enumerated
+    # root node: their largest spaces, 2**16 and 3**10 assignments, fit
+    # the limit.
     enumerated = 0
     for m, budget in enumeration_scale_instances():
         reference = solve_exhaustive(m, budget)
@@ -473,17 +474,18 @@ def test_bnb_enumerates_every_root_within_the_limit():
         assert report.proved
         assert (report.objective, report.assignment.bits, report.size_bits) == (
             reference.objective, reference.assignment.bits, reference.size_bits)
-    assert enumerated == 93
+    assert enumerated == 100
 
 
 def test_bnb_root_enumeration_keeps_tables_at_tail_size(monkeypatch):
-    # 2**15 assignments, the most a root may have and still be enumerated,
-    # run as 16 head rows against one 2048-row tail.
+    # 2**16 assignments, the most a root may have and still be enumerated,
+    # run as 32 head rows against one 2048-row tail.
+    assert solver.SUBCUBE_LIMIT == 2 ** 16
     rows = _record_one_hot(monkeypatch)
     rng = np.random.default_rng(5)
-    sizes = tuple(int(s) for s in rng.integers(1, 5, size=15))
-    entries = _random_symmetric(rng, 30)
-    entries = entries @ entries / 30
+    sizes = tuple(int(s) for s in rng.integers(1, 5, size=16))
+    entries = _random_symmetric(rng, 32)
+    entries = entries @ entries / 32
     m = _matrix(np.triu(entries) + np.triu(entries, 1).T, sizes, (2, 8))
     report, peak = traced_peak(solve_bnb, m, 5 * sum(sizes))
     assert (report.nodes, report.fw_iterations) == (1, 0)
@@ -723,10 +725,30 @@ def _shift_scale(entries):
     return diagonal if np.all(diagonal > 0.0) else np.ones(len(entries))
 
 
-def _assert_shift_makes_psd(entries, shift):
+def _simplex_basis(num_layers, nb):
+    """Dense ``Z = kron(I_L, U)``, with ``U`` an orthonormal basis of the
+    vectors whose ``nb`` entries sum to zero, taken from an SVD."""
+    u = np.linalg.svd(np.eye(nb) - 1.0 / nb)[0][:, :nb - 1]
+    return np.kron(np.eye(num_layers), u)
+
+
+def _whitened_subspace_values(entries, shift, nb):
+    """Eigenvalues of ``C^-1 Z'(G + shift*W)Z C^-T``, with ``C`` the
+    Cholesky factor of ``Z'WZ``: the shift moves every one of them by
+    exactly ``shift``, so the smallest is 0 where the shift is the least
+    that keeps ``Z'(G + shift*W)Z`` PSD."""
+    z = _simplex_basis(len(entries) // nb, nb)
+    w = np.diag(_shift_scale(entries))
+    inverse = np.linalg.inv(np.linalg.cholesky(z.T @ w @ z))
+    form = inverse @ z.T @ (entries + shift * w) @ z @ inverse.T
+    return np.linalg.eigvalsh(0.5 * (form + form.T))
+
+
+def _assert_shift_makes_psd(entries, shift, nb):
+    # Z'(G + shift*W)Z is PSD, and no smaller shift keeps it PSD.
     assert shift > 0.0
-    values = np.linalg.eigvalsh(entries + shift * np.diag(_shift_scale(entries)))
-    assert values[0] >= -1e-12 * max(1.0, float(values[-1]))
+    values = _whitened_subspace_values(entries, shift, nb)
+    assert abs(values[0]) <= 1e-12 * max(1.0, float(values[-1]))
 
 
 def test_bnb_prunes_negative_curvature_through_a_shift(monkeypatch):
@@ -740,7 +762,7 @@ def test_bnb_prunes_negative_curvature_through_a_shift(monkeypatch):
     for limit in (4, 6, 8):
         report = solve_bnb(_matrix(entries, (1, 1), (2, 4)), SizeBudget(limit))
         best = solve_exhaustive(_matrix(entries, (1, 1), (2, 4)), SizeBudget(limit))
-        _assert_shift_makes_psd(entries, report.shift)
+        _assert_shift_makes_psd(entries, report.shift, 2)
         assert report.proved
         assert (report.objective, report.assignment.bits) == (
             best.objective, best.assignment.bits)
@@ -758,7 +780,7 @@ def test_bnb_proof_holds_on_indefinite_matrices(monkeypatch):
         m, budget = noisy_instance(seed)
         report = solve_bnb(m, budget=budget, node_limit=node_limit)
         best = solve_exhaustive(m, budget=budget)
-        _assert_shift_makes_psd(m.entries, report.shift)
+        _assert_shift_makes_psd(m.entries, report.shift, 3)
         assert report.proved
         assert (report.objective, report.assignment.bits) == (
             best.objective, best.assignment.bits)
@@ -780,17 +802,18 @@ def test_convexify_is_tight_and_exact_on_one_hot_points(case):
     entries = _convexify_case(case)
     nb = 3
     num_layers = len(entries) // nb
-    lowest = np.linalg.eigvalsh(entries)[0]
+    z = _simplex_basis(num_layers, nb)
+    lowest = np.linalg.eigvalsh(z.T @ entries @ z)[0]
     bounded, offset, shift = _convexify(entries, nb)
     assert (shift < 0.0) if lowest > 0.0 else (shift > 0.0)
     w = _shift_scale(entries)
     assert np.all(w == 1.0) == (case in ("noisy", "zero-diagonal"))
     reformulated = entries + shift * np.diag(w)
-    assert _psd_shift(reformulated) == 0.0
+    projected = z.T @ reformulated @ z
+    assert _psd_shift(0.5 * (projected + projected.T)) == 0.0
     assert offset == 0.0
-    # no larger shift scale keeps the reformulated matrix PSD
-    root = 1.0 / np.sqrt(w)
-    values = np.linalg.eigvalsh(reformulated * root[:, None] * root[None, :])
+    # no smaller shift scale keeps the reformulated matrix PSD on the subspace
+    values = _whitened_subspace_values(entries, shift, nb)
     assert abs(values[0]) <= 1e-12 * max(1.0, float(values[-1]))
     # the bounded matrix carries that same shift, folded into each layer
     a = -shift * w
@@ -813,27 +836,92 @@ def test_shift_is_computed_only_when_a_node_is_bounded():
 
 
 def test_sixteen_layer_search_is_proved_within_300_nodes():
-    # The scaled shift proves this search in about a hundred nodes;
-    # bounding through the PSD matrix itself needs 1,060.
+    # The scaled shift on the simplex subspace proves this search in 19
+    # nodes; bounding through the PSD matrix itself, from the same
+    # local-search incumbent, takes 184.
     m = _instance(1, [64] * 16, (2, 4, 8), rho=0.6)
     report = solve_bnb(m, budget=SizeBudget(5120), node_limit=300)
     assert report.proved
     assert report.assignment.bits == (4, 4, 8, 4, 4, 4, 4, 8, 4, 4, 4, 8, 4, 4, 4, 8)
 
 
+def _record_local_search(monkeypatch):
+    """Returns the list that collects every local search's exact key from
+    then on."""
+    results = []
+    search = solver._local_search
+
+    def recorded(*args):
+        results.append(search(*args))
+        return results[-1]
+
+    monkeypatch.setattr(solver, "_local_search", recorded)
+    return results
+
+
+def test_local_search_incumbent_ties_keep_the_smaller_bit_vector(monkeypatch):
+    # Upgrading layer 0, or layers 1 and 2 together, ties on objective and
+    # size.  The descent's first move takes layer 0 and lands on bits
+    # (4, 2, 2); the answer must still be the smaller (2, 4, 4).
+    entries = np.diag([3.0, 0.0, 1.5, 0.0, 1.5, 0.0])
+    m = _matrix(entries, (2, 1, 1), (2, 4))
+    monkeypatch.setattr(solver, "SUBCUBE_LIMIT", 1)
+    results = _record_local_search(monkeypatch)
+    report = solve_bnb(m, SizeBudget(12))
+    best = solve_exhaustive(m, SizeBudget(12))
+    assert results[0] == (3.0, 12, (4, 2, 2))
+    assert report.proved
+    assert (report.objective, report.size_bits, report.assignment.bits) == (
+        best.objective, best.size_bits, best.assignment.bits) == (3.0, 12, (2, 4, 4))
+
+
+def test_local_search_takes_a_trade_that_no_single_move_allows():
+    # At bits (4, 2, 2) the budget is full: upgrading layer 1 or 2 alone does
+    # not fit, and downgrading layer 0 alone fits but scores worse.  Trading
+    # layer 0's upgrade for layer 1's fits and gains 2.
+    entries = np.diag([1.0, 0.0, 3.0, 0.0, 2.0, 1.5])
+    wmat = _size_table((1, 1, 1), (2, 4), 8)
+    start = (1, 0, 0)
+    here = _exact_key(entries, (2, 4), wmat, start)
+    for l in range(3):
+        moved = list(start)
+        moved[l] = 1 - moved[l]
+        key = _exact_key(entries, (2, 4), wmat, tuple(moved))
+        assert key[1] > 8 or key[0] > here[0]
+    assert solver._local_search(entries, (2, 4), wmat, 8, start) == (3.0, 8, (2, 4, 2))
+
+
+def test_bnb_with_mixed_layer_sizes_matches_exhaustive(monkeypatch):
+    # Log-uniform layer sizes, with every node of more than 4 assignments
+    # bounded, so that the second descent starts from the rounded root.
+    monkeypatch.setattr(solver, "SUBCUBE_LIMIT", 4)
+    rng = np.random.default_rng(96)
+    for seed in range(4):
+        sizes = [int(s) for s in np.exp(rng.uniform(0.0, np.log(64.0), size=7)).round()]
+        m = _instance(seed, sizes, (2, 4, 8), rho=0.6)
+        budget = _mid_budget(m, float(rng.uniform(0.3, 0.7)))
+        results = _record_local_search(monkeypatch)
+        report = solve_bnb(m, budget)
+        reference = solve_exhaustive(m, budget)
+        assert len(results) == 2
+        assert report.proved
+        assert (report.objective, report.assignment.bits, report.size_bits) == (
+            reference.objective, reference.assignment.bits, reference.size_bits)
+
+
 # noisy_instance searches with every node of more than 4 assignments
 # bounded: (seed, bits, objective, nodes, Frank-Wolfe iterations, shift).
 _PINNED_NOISY_SEARCHES = (
-    (0, (8, 4, 8, 8, 4, 4, 4, 8, 8, 4), -0.01129595466304226, 241, 2158, 0.004648990344560456),
-    (1, (4, 4, 4, 4, 4, 4, 8, 8), -0.05815576470689356, 82, 204, 0.015649129122735743),
-    (2, (8, 8, 8, 8, 8, 4, 4, 4, 4, 4), -0.03831826410522124, 391, 1604, 0.008497936617871424),
-    (3, (4, 2, 4, 8, 8, 4, 4, 8, 4, 4), 0.002418730688518837, 619, 2623, 0.0035372238973556407),
-    (4, (4, 8, 4, 4, 4, 4, 4, 4, 4), -0.033682001175886364, 106, 260, 0.013822553309431324),
-    (5, (8, 8, 4, 4, 4, 4, 2, 4, 2), 0.0070251987191696135, 124, 849, 0.003659301783787894),
-    (6, (2, 4, 2, 4, 4, 2, 4, 2), 0.16956835195099057, 190, 475, 0.011186996889874049),
-    (7, (2, 4, 4, 4, 8, 4, 4, 8, 4, 4), 0.012382877058166323, 448, 2852, 0.003933392487453486),
-    (8, (4, 4, 8, 2, 8, 4, 8, 8, 4), -0.012096260062488522, 493, 1623, 0.011249930353152809),
-    (9, (4, 4, 8, 8, 4, 8, 4, 4), -0.10802844979636772, 91, 318, 0.03917878732032194),
+    (0, (8, 4, 8, 8, 4, 4, 4, 8, 8, 4), -0.01129595466304226, 61, 730, 0.0033714302916770015),
+    (1, (4, 4, 4, 4, 4, 4, 8, 8), -0.05815576470689356, 31, 128, 0.007791398311036862),
+    (2, (8, 8, 8, 8, 8, 4, 4, 4, 4, 4), -0.03831826410522124, 94, 722, 0.0054998276295756396),
+    (3, (4, 2, 4, 8, 8, 4, 4, 8, 4, 4), 0.002418730688518837, 430, 2849, 0.0023839629785263063),
+    (4, (4, 8, 4, 4, 4, 4, 4, 4, 4), -0.033682001175886364, 25, 85, 0.008151908072710358),
+    (5, (8, 8, 4, 4, 4, 4, 2, 4, 2), 0.0070251987191696135, 73, 344, 0.0026655908503667686),
+    (6, (2, 4, 2, 4, 4, 2, 4, 2), 0.16956835195099057, 124, 615, 0.0038825744299201192),
+    (7, (2, 4, 4, 4, 8, 4, 4, 8, 4, 4), 0.012382877058166323, 262, 4326, 0.0031541505687637693),
+    (8, (4, 4, 8, 2, 8, 4, 8, 8, 4), -0.012096260062488522, 145, 991, 0.007685798827193187),
+    (9, (4, 4, 8, 8, 4, 8, 4, 4), -0.10802844979636772, 64, 980, 0.0269562927830654),
 )
 
 
@@ -850,7 +938,7 @@ def test_search_order_is_pinned(monkeypatch):
     assert report.proved
     assert _search_summary(report) == (
         (4, 4, 8, 4, 4, 4, 4, 8, 4, 4, 4, 8, 4, 4, 4, 8), 4.274448556423196,
-        64, 110, -0.8475090453346978)
+        19, 43, -0.8698957556567326)
     monkeypatch.setattr(solver, "SUBCUBE_LIMIT", 4)
     for seed, *pinned in _PINNED_NOISY_SEARCHES:
         m, budget = noisy_instance(seed)
