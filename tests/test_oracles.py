@@ -20,10 +20,24 @@ from mixprec.oracles import (
     train_toy,
     toy_training_accuracy,
 )
-from mixprec.sensitivity import BitMenu, SensitivityMatrix, build_matrix, layer_perturbations
-from mixprec.quantizer import perturbation
+from mixprec.sensitivity import (
+    BitMenu,
+    SensitivityMatrix,
+    build_matrix,
+    layer_perturbations,
+    load_matrix,
+    merge_batches,
+    save_matrix,
+)
+from mixprec.quantizer import LayerSpec, perturbation
 
-from helpers import MatrixBackedOracle, golden_quartet_matrix, reference_train_toy, run_cli
+from helpers import (
+    MatrixBackedOracle,
+    golden_quartet_matrix,
+    reference_train_toy,
+    run_cli,
+    traced_peak,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -103,15 +117,30 @@ def test_quadratic_evaluate_matches_dense_reference():
 def test_quadratic_evaluate_reads_only_perturbed_rows():
     sizes = [3, 1, 5, 2]
     q = random_quadratic(4, sizes, 0.7)
-    want = q.evaluate({1: [0.5], 3: [0.25, -1.0]})
+    case = {1: [1e10], 3: [0.25, -1.0]}
+    want = q.evaluate(case)
     starts = np.cumsum([0] + sizes)
-    # The oracle owns its curvature read-only; unlock it to poison the rows
-    # that a call perturbing layers 1 and 3 must never read.
-    q.curvature.setflags(write=True)
+    # Poison the rows (and, for symmetry, the columns) of layers 0 and 2,
+    # which a call perturbing layers 1 and 3 must never read: such a row
+    # times the perturbation overflows to inf, and inf times its zero
+    # perturbation is NaN.
+    h = q.curvature.copy()
     for idx in (0, 2):
-        q.curvature[starts[idx]:starts[idx + 1], :] = np.nan
-    assert q.evaluate({1: [0.5], 3: [0.25, -1.0]}) == want
-    assert np.isnan(q.evaluate({2: np.ones(5)}))
+        h[starts[idx]:starts[idx + 1], :] = 1e300
+        h[:, starts[idx]:starts[idx + 1]] = 1e300
+    poisoned = QuadraticOracle(h, np.concatenate([l.weights for l in q.layers]), sizes)
+    assert poisoned.evaluate(case) == want
+    assert poisoned.evaluate({2: np.ones(5)}) > 1e300
+
+
+def test_quadratic_oracle_rejects_an_asymmetric_curvature():
+    dim = 130  # three stripes of rows in the symmetry check
+    QuadraticOracle(np.eye(dim) + 0.5, np.zeros(dim), [dim])
+    for i, j in ((0, 1), (3, 129), (70, 128), (129, 65), (128, 129)):
+        h = np.eye(dim)
+        h[i, j] = 0.5
+        with pytest.raises(ValueError, match="exactly symmetric"):
+            QuadraticOracle(h, np.zeros(dim), [dim])
 
 
 def test_random_quadratic_is_psd_and_deterministic():
@@ -269,30 +298,106 @@ def test_quadratic_oracle_owns_its_arrays(tmp_path):
     opt = np.array([1.0, -1.0])
     q = QuadraticOracle(h, opt, [1, 1])
     base = q.evaluate({0: [0.25]})
-    # the caller's arrays are taken over read-only, not copied
-    assert q.curvature is h
-    for arr in (h, opt, q.layers[0].weights):
-        with pytest.raises(ValueError):
-            arr[0] = 7.0
-    with pytest.raises(ValueError):
-        h[0, 0] = 5.0
+    # the caller's arrays are copied into immutable memory; the caller
+    # keeps writing to its own
+    assert not np.shares_memory(q.curvature, h)
+    h[0, 0] = 5.0
+    opt[0] = 7.0
     assert q.evaluate({0: [0.25]}) == base
     assert q.layers[0].weights.tolist() == [1.0]
-    # views freeze the array they view; memory of a writable non-array is copied
-    big = np.eye(3)
-    QuadraticOracle(big[:2, :2], np.zeros(2), [2])
-    assert not big.flags.writeable
+    for arr in (q.curvature, q.layers[0].weights):
+        with pytest.raises(ValueError):
+            arr[0] = 7.0
+        with pytest.raises(ValueError):
+            arr.setflags(write=True)
+    # memory of a writable non-array is copied too
     raw = bytearray(np.array([1.0, -1.0]).tobytes())
     q = QuadraticOracle(np.eye(2), np.frombuffer(raw), [1, 1])
     raw[:8] = np.array([9.0]).tobytes()
     assert q.layers[0].weights.tolist() == [1.0]
-    # a loaded oracle views its container's payload, which is frozen too
+    # a loaded oracle views its container's payload, one bytes object,
+    # and an oracle built on immutable arrays keeps them without a copy
     path = tmp_path / "q.bin"
     save_oracle(random_quadratic(2, [3, 2], 0.5), path)
     loaded = load_oracle(path)
-    assert loaded.curvature.base is not None
-    with pytest.raises(ValueError):
-        loaded.curvature.base[...] = 0.0
+    payloads = {id(_root(a)) for a in [loaded.curvature] + [l.weights for l in loaded.layers]}
+    assert len(payloads) == 1 and isinstance(_root(loaded.curvature), bytes)
+    assert QuadraticOracle(loaded.curvature, np.zeros(5), [3, 2]).curvature is loaded.curvature
+
+
+def _root(a):
+    """The object at the end of ``a``'s chain of bases."""
+    while isinstance(a, np.ndarray):
+        a = a.base
+    return a
+
+
+def test_quadratic_oracle_ignores_a_view_written_after_it_was_built():
+    h = np.array([[2.0, 0.0], [0.0, 2.0]])
+    opt = np.array([1.0, -1.0])
+    h_view, opt_view = h[:], opt[:]
+    q = QuadraticOracle(h, opt, [1, 1])
+    before = q.evaluate({0: [1.0]})
+    h_view[0, 0] = 100.0
+    opt_view[0] = 9.0
+    assert q.evaluate({0: [1.0]}) == before == 1.0
+    assert q.layers[0].weights.tolist() == [1.0]
+
+
+def _quadratic_arrays(q):
+    return [q.curvature, *q._row_blocks, *(layer.weights for layer in q.layers)]
+
+
+def _toy_arrays(oracle):
+    model = oracle.model
+    return [*model.weights, *model.biases, *(layer.weights for layer in oracle.layers)]
+
+
+def _saved(save, load, obj, path):
+    save(obj, path)
+    return load(path)
+
+
+def _measured(seed):
+    return build_matrix(random_quadratic(seed, [3, 2], 0.5), (2, 4))
+
+
+# Every array each kind of object keeps, as the object is built or loaded.
+_KEPT_ARRAYS = {
+    "layer_spec": lambda tmp: [LayerSpec("w", np.arange(6.0).reshape(2, 3)).weights],
+    "quadratic_built": lambda tmp: _quadratic_arrays(random_quadratic(1, [3, 2], 0.5)),
+    "quadratic_loaded": lambda tmp: _quadratic_arrays(
+        _saved(save_oracle, load_oracle, random_quadratic(1, [3, 2], 0.5), tmp / "q.bin")),
+    "toy_trained": lambda tmp: _toy_arrays(train_toy(1, epochs=5, depth=3, eval_count=8)),
+    "toy_loaded": lambda tmp: _toy_arrays(_saved(
+        save_oracle, load_oracle, train_toy(1, epochs=5, depth=3, eval_count=8), tmp / "t.bin")),
+    "matrix_built": lambda tmp: [_measured(1).entries],
+    "matrix_loaded": lambda tmp: [_saved(save_matrix, load_matrix, _measured(1),
+                                         tmp / "m.txt").entries],
+    "matrix_merged": lambda tmp: [merge_batches([_measured(1), _measured(2)]).entries],
+    "layer_perturbations": lambda tmp: [
+        vec for row in layer_perturbations(random_quadratic(1, [3, 2], 0.5).layers, (2, 4))
+        for vec in row],
+}
+
+
+@pytest.mark.parametrize("kind", list(_KEPT_ARRAYS))
+def test_every_kept_array_is_a_float64_view_of_bytes(kind, tmp_path):
+    arrays = _KEPT_ARRAYS[kind](tmp_path)
+    assert arrays
+    for arr in arrays:
+        assert arr.dtype == np.float64 and isinstance(_root(arr), bytes)
+
+
+def test_load_oracle_holds_the_payload_once(tmp_path):
+    dim = 1024
+    path = tmp_path / "q.bin"
+    save_oracle(QuadraticOracle(np.eye(dim), np.zeros(dim), [64] * 16), path)
+    oracle, peak = traced_peak(load_oracle, path)
+    payload = 8 * (dim * dim + dim)
+    assert oracle.curvature.shape == (dim, dim)
+    # A second copy of the payload, or of the curvature, would read about 2x.
+    assert peak < 1.5 * payload
 
 
 @pytest.fixture(scope="module")

@@ -83,26 +83,37 @@ def test_layer_spec_validation_and_immutability():
 
 
 def test_layer_spec_owns_its_weights():
+    # a caller's array is copied into immutable memory, and the caller
+    # keeps writing to its own
     w = np.array([1.0, 2.0, 3.0])
     layer = LayerSpec("w", w)
-    assert np.shares_memory(layer.weights, w)
-    with pytest.raises(ValueError):
-        w[0] = 9.0
+    assert not np.shares_memory(layer.weights, w)
+    w[0] = 9.0
     assert layer.weights.tolist() == [1.0, 2.0, 3.0]
-    # a 2-D caller array is raveled to a view and frozen with it
-    grid = np.arange(4.0).reshape(2, 2)
-    LayerSpec("g", grid)
     with pytest.raises(ValueError):
-        grid[1, 1] = 0.0
-    # other dtypes are converted to a copy, and the caller keeps writing
+        layer.weights.setflags(write=True)
+    # an immutable array is kept without a copy, a 2-D one raveled to a view
+    kept = LayerSpec("k", layer.weights)
+    assert np.shares_memory(kept.weights, layer.weights)
+    grid = quantizer._immutable(np.arange(4.0).reshape(2, 2))
+    assert np.shares_memory(LayerSpec("g", grid).weights, grid)
+    # other dtypes are converted, and non-contiguous arrays raveled, to an
+    # immutable copy
     ints = np.arange(3)
     layer = LayerSpec("i", ints)
     ints[0] = 5
     assert layer.weights.tolist() == [0.0, 1.0, 2.0]
-    # a non-contiguous array is raveled to a copy that is read-only too
     layer = LayerSpec("s", np.arange(6.0)[::2])
-    with pytest.raises(ValueError):
-        layer.weights[0] = 9.0
+    assert quantizer._immutable(layer.weights) is layer.weights
+    assert layer.weights.tolist() == [0.0, 2.0, 4.0]
+
+
+def test_layer_spec_ignores_a_view_written_after_it_was_built():
+    w = np.array([1.0, 2.0])
+    view = w[:]
+    layer = LayerSpec("x", w)
+    view[0] = 9.0
+    assert layer.weights.tolist() == [1.0, 2.0]
 
 
 def test_calibration_all_zero_vector():
