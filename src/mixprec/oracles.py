@@ -95,9 +95,10 @@ class LossOracle(ABC):
 
     def _check_perturbations(self, perturbations) -> dict[int, np.ndarray]:
         layers = self.layers
+        num_layers = len(layers)
         checked = {}
         for idx, vec in perturbations.items():
-            if not 0 <= idx < len(layers):
+            if not 0 <= idx < num_layers:
                 raise ValueError(f"layer index {idx} out of range")
             arr = np.asarray(vec, dtype=np.float64)
             if arr.ndim != 1 or not arr.flags.c_contiguous:
@@ -143,6 +144,7 @@ class QuadraticOracle(LossOracle):
             if not np.array_equal(h[start:end, start:], h[start:, start:end].T):
                 raise ValueError("curvature matrix must be exactly symmetric")
         self._h = h
+        self._dim = dim
         ends = itertools.accumulate(sizes)
         self._rows = [slice(end - size, end) for size, end in zip(sizes, ends)]
         # Views, not copies: each layer's rows of ``h`` across every column.
@@ -191,13 +193,14 @@ class QuadraticOracle(LossOracle):
         call costs ``O(sum_k n_k * dim)``, not ``O(dim^2)``.
         """
         checked = self._check_perturbations(perturbations)
-        delta = np.zeros(self._h.shape[0])
+        rows, row_blocks = self._rows, self._row_blocks
+        delta = np.zeros(self._dim)
         for idx, vec in checked.items():
-            delta[self._rows[idx]] = vec
+            delta[rows[idx]] = vec
         form = 0.0
         for idx, vec in checked.items():
-            form += float(vec.dot(self._row_blocks[idx].dot(delta)))
-        return self._baseline + 0.5 * form
+            form += vec.dot(row_blocks[idx].dot(delta))
+        return self._baseline + 0.5 * float(form)
 
 
 def random_quadratic(seed: int, layer_sizes, rho: float, *,

@@ -119,10 +119,12 @@ class SensitivityMatrix:
         return SensitivityMatrix(self.menu, self.layer_sizes, entries, self.sample_count)
 
     def has_block_zeros(self) -> bool:
-        """True when every same-layer cross-bit entry is exactly zero."""
-        layer = np.repeat(np.arange(self.num_layers), len(self.menu))
-        return np.array_equal(_mask_couplings(self.entries, layer),
-                              _mask_couplings(self.entries, np.arange(self.dim)))
+        """True when every same-layer cross-bit entry is exactly zero
+        (``-0.0`` counts as zero)."""
+        nb, num_layers = len(self.menu), self.num_layers
+        # Entry ``[m, n, l]`` views layer ``l``'s block at widths ``m, n``.
+        blocks = self.entries.reshape(num_layers, nb, num_layers, nb).diagonal(0, 0, 2)
+        return not blocks[~np.eye(nb, dtype=bool)].any()
 
 
 def layer_perturbations(layers, menu) -> list[list[np.ndarray]]:
@@ -200,19 +202,25 @@ def build_matrix(oracle, menu, *, include_same_layer_cross: bool = False,
     else:
         _check_deltas(deltas, layers, nb)
     flat = [_immutable(vec) for row in deltas for vec in row]
-    baseline = oracle.evaluate({})
+    evaluate = oracle.evaluate
+    baseline = evaluate({})
     g = np.zeros((dim, dim))
+    # ``half[p]`` is ``0.5 * g[p, p]`` as a Python float: the same IEEE
+    # operations as reading it back from ``g``, without numpy scalars.
+    half = [0.0] * dim
     for p in range(dim - 1, -1, -1):
         i = p // nb
-        g[p, p] = 2.0 * (oracle.evaluate({i: flat[p]}) - baseline)
+        dp = flat[p]
+        g[p, p] = gpp = 2.0 * (evaluate({i: dp}) - baseline)
+        half[p] = hp = 0.5 * gpp
         for j in range(num_layers - 1, i, -1):
             for q in range(j * nb, (j + 1) * nb):
-                joint = oracle.evaluate({i: flat[p], j: flat[q]})
-                g[p, q] = g[q, p] = joint - baseline - 0.5 * g[p, p] - 0.5 * g[q, q]
+                joint = evaluate({i: dp, j: flat[q]})
+                g[p, q] = g[q, p] = joint - baseline - hp - half[q]
         if include_same_layer_cross:
             for q in range(p + 1, (i + 1) * nb):
-                joint = oracle.evaluate({i: flat[p] + flat[q]})
-                g[p, q] = g[q, p] = joint - baseline - 0.5 * g[p, p] - 0.5 * g[q, q]
+                joint = evaluate({i: dp + flat[q]})
+                g[p, q] = g[q, p] = joint - baseline - hp - half[q]
     matrix = SensitivityMatrix(menu, tuple(l.count for l in layers), g, oracle.sample_count)
     if not include_same_layer_cross:
         assert matrix.has_block_zeros()

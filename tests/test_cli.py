@@ -286,7 +286,7 @@ def test_measure_batch_threads_write_what_one_thread_writes(tmp_path, monkeypatc
 def test_measure_error_in_a_batch_writes_the_batches_before_it(tmp_path, monkeypatch,
                                                                small_toy_model, workers):
     _declare_cpus(monkeypatch, workers)
-    build, failed, started = cli.build_matrix, threading.Event(), []
+    build, failed, started, handed_off = cli.build_matrix, threading.Event(), [], []
 
     def failing(oracle, menu, **kwargs):
         index = oracle._window[0] // 16
@@ -295,7 +295,7 @@ def test_measure_error_in_a_batch_writes_the_batches_before_it(tmp_path, monkeyp
             failed.set()
             raise ValueError("batch 2 failed")
         if workers and threading.current_thread() is threading.main_thread():
-            failed.wait(10)  # so a helper thread takes batch 2
+            handed_off.append(failed.wait(60))  # so a helper thread takes batch 2
         return build(oracle, menu, **kwargs)
 
     monkeypatch.setattr(cli, "build_matrix", failing)
@@ -303,6 +303,7 @@ def test_measure_error_in_a_batch_writes_the_batches_before_it(tmp_path, monkeyp
     cache = tmp_path / "cache"
     code, out, err = run_cli("measure", "--model", str(small_toy_model), "--bits", "2,4",
                              "--batch-size", "16", "--batches", "4", "--cache-dir", str(cache))
+    assert all(handed_off), "no helper thread took batch 2 within 60 s of the hand-off wait"
     assert code == 5 and "batch 2 failed" in err
     assert set(threading.enumerate()) == before
     in_main = {index: thread is threading.main_thread() for index, thread in started}

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mixprec import quantizer, sensitivity
-from mixprec.oracles import QuadraticOracle, random_quadratic
+from mixprec.oracles import QuadraticOracle, random_quadratic, train_toy
 from mixprec.quantizer import perturbation
 from mixprec.sensitivity import (
     BitMenu,
@@ -73,11 +73,59 @@ def test_matrix_helpers():
         m.entries[0, 0] = 9.0
 
 
-def test_has_block_zeros_detects_filled_blocks():
+def _symmetric(dim, seed=0):
+    g = np.random.default_rng(seed).normal(size=(dim, dim))
+    return g + g.T
+
+
+def _filled_block():
     g = np.zeros((4, 4))
     g[0, 1] = g[1, 0] = 0.5
-    m = SensitivityMatrix(BitMenu((2, 4)), (3, 3), g, 1)
-    assert not m.has_block_zeros()
+    return SensitivityMatrix(BitMenu((2, 4)), (3, 3), g, 1)
+
+
+def _negative_zero_blocks():
+    layer = np.repeat(np.arange(3), 3)
+    g = np.where(layer[:, None] == layer[None, :], -0.0, _symmetric(9))
+    np.fill_diagonal(g, 1.0)
+    return SensitivityMatrix(BitMenu((2, 4, 8)), (2, 3, 4), g, 1)
+
+
+def _one_width_menu():
+    return SensitivityMatrix(BitMenu((4,)), (3, 2, 1), _symmetric(3), 1)
+
+
+def _single_layer(filled):
+    g = np.diag([1.0, 2.0, 3.0])
+    g[0, 2] = g[2, 0] = 0.25 * filled
+    return SensitivityMatrix(BitMenu((2, 4, 8)), (5,), g, 1)
+
+
+def _last_layer_entry():
+    layer = np.repeat(np.arange(3), 3)
+    g = np.where(layer[:, None] == layer[None, :], 0.0, _symmetric(9))
+    np.fill_diagonal(g, 1.0)
+    g[7, 8] = g[8, 7] = 1e-300
+    return SensitivityMatrix(BitMenu((2, 4, 8)), (2, 3, 4), g, 1)
+
+
+@pytest.mark.parametrize("build, want", [
+    (_filled_block, False),
+    (_negative_zero_blocks, True),
+    (_one_width_menu, True),
+    (lambda: _single_layer(False), True),
+    (lambda: _single_layer(True), False),
+    (_last_layer_entry, False),
+], ids=["filled", "negative-zero", "one-width", "single-layer", "single-layer-filled",
+        "last-layer-only"])
+def test_has_block_zeros_detects_filled_blocks(build, want):
+    m = build()
+    # The definition: masking to the layer blocks equals masking to the diagonal.
+    layer = np.repeat(np.arange(m.num_layers), len(m.menu))
+    reference = np.array_equal(sensitivity._mask_couplings(m.entries, layer),
+                               sensitivity._mask_couplings(m.entries, np.arange(m.dim)))
+    assert reference == want
+    assert m.has_block_zeros() == want
 
 
 # ---------------------------------------------------------------------------
@@ -240,6 +288,43 @@ def test_build_matrix_rejects_a_non_finite_delta_before_any_evaluation():
         with pytest.raises(ValueError, match=r"deltas\[1\]\[2\] holds a non-finite value"):
             build_matrix(counter, menu, deltas=broken)
     assert counter.calls == 0
+
+
+def _textbook_matrix(oracle, menu, same_layer_cross):
+    """``G_pq = L(p,q) - L0 - G_pp/2 - G_qq/2`` in numpy float64 from the
+    oracle's own losses, each pair's layers listed in ``build_matrix``'s order."""
+    nb, num_layers = len(menu), len(oracle.layers)
+    dim = nb * num_layers
+    flat = [vec for row in layer_perturbations(oracle.layers, menu) for vec in row]
+    base = np.float64(oracle.evaluate({}))
+    diag = 2.0 * (np.array([oracle.evaluate({p // nb: flat[p]}) for p in range(dim)]) - base)
+    joint = np.zeros((dim, dim))
+    filled = np.zeros((dim, dim), dtype=bool)
+    for p in range(dim):
+        for q in range(p + 1, dim):
+            i, j = p // nb, q // nb
+            if i != j:
+                joint[p, q] = oracle.evaluate({i: flat[p], j: flat[q]})
+            elif same_layer_cross:
+                joint[p, q] = oracle.evaluate({i: flat[p] + flat[q]})
+            else:
+                continue
+            filled[p, q] = True
+    upper = np.where(filled, joint - base - diag[:, None] / 2 - diag[None, :] / 2, 0.0)
+    want = np.where(filled.T, upper.T, upper)  # mirrored, not added, so -0.0 survives
+    np.fill_diagonal(want, diag)
+    return want
+
+
+@pytest.mark.parametrize("same_layer_cross", [False, True])
+@pytest.mark.parametrize("make", [lambda: random_quadratic(5, [2, 3, 4], 0.5),
+                                  lambda: train_toy(1, 20, depth=3, hidden=4, eval_count=16)],
+                         ids=["quadratic", "toy"])
+def test_build_matrix_entries_are_the_textbook_formula_byte_for_byte(make, same_layer_cross):
+    oracle, menu = make(), BitMenu((2, 4, 8))
+    got = build_matrix(oracle, menu, include_same_layer_cross=same_layer_cross)
+    want = _textbook_matrix(oracle, menu, same_layer_cross)
+    assert got.entries.tobytes() == want.tobytes()
 
 
 def test_build_matrix_is_deterministic():
