@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import collections
-import copy
 import csv
 import glob
 import math
@@ -51,7 +50,7 @@ from .solver import (
     solve_with_method,
     sweep,
 )
-from .spectra import SYMMETRY_TOL, _require_finite, psd_project
+from .spectra import _require_symmetric, psd_project
 
 __all__ = ["main"]
 
@@ -312,11 +311,8 @@ def cmd_measure(args) -> int:
 
     def measure(index):
         # Each batch measures an oracle of its own, whose buffers go with it.
-        # The loaded oracle lives as long as the command, so a batch whose
-        # window it already has measures a copy made before any evaluation.
-        window = oracle.with_window(index * args.batch_size, args.batch_size)
-        return build_matrix(copy.copy(window) if window is oracle else window, menu,
-                            deltas=deltas)
+        return build_matrix(oracle.with_window(index * args.batch_size, args.batch_size),
+                            menu, deltas=deltas)
 
     # Batches run concurrently, but this loop checks, writes and prints
     # them in index order, each as soon as every earlier one is done, so
@@ -355,12 +351,7 @@ def cmd_import_matrix(args) -> int:
     sizes = _parse_list(args.sizes, "--sizes")
     cache_dir = _cache_dir(args)
     dense = np.loadtxt(args.dense, dtype=np.float64, ndmin=2)
-    dim = len(menu) * len(sizes)
-    if dense.shape != (dim, dim):
-        raise ValueError(f"{args.dense}: expected a {dim}x{dim} matrix, got {dense.shape}")
-    _require_finite(dense, args.dense)
-    if np.max(np.abs(dense - dense.T), initial=0.0) > SYMMETRY_TOL:
-        raise ValueError(f"{args.dense}: matrix is not symmetric within {SYMMETRY_TOL:g}")
+    _require_symmetric(dense, args.dense, len(menu) * len(sizes))
     # Mirror the upper triangle so the stored entries are exactly symmetric.
     exact = np.triu(dense) + np.triu(dense, 1).T
     matrix = SensitivityMatrix(menu, sizes, exact, args.samples)

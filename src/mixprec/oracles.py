@@ -44,7 +44,7 @@ import numpy as np
 from ._files import write_atomic
 from .quantizer import LayerSpec, _immutable
 from .sensitivity import _mask_couplings
-from .spectra import _require_finite
+from .spectra import _require_finite, _require_symmetric
 
 __all__ = [
     "LossOracle",
@@ -64,8 +64,6 @@ MAGIC = b"MIXPREC1"
 CONTAINER_VERSION = 1
 # float32 values read from a container at a time.
 _PAYLOAD_CHUNK = 2 ** 16
-# Curvature rows compared with their columns at a time.
-_SYMMETRY_ROWS = 64
 
 # Fixed per-purpose seed-stream tags keep the data, init, and evaluation
 # streams independent of one another while staying reproducible.
@@ -129,20 +127,11 @@ class QuadraticOracle(LossOracle):
             raise ValueError(f"sample_count must be >= 1, got {sample_count}")
         sizes = tuple(int(s) for s in layer_sizes)
         dim = sum(sizes)
-        h = _immutable(h)
-        if h.shape != (dim, dim):
-            raise ValueError(f"curvature must have shape {(dim, dim)}, got {h.shape}")
+        h = _require_symmetric(_immutable(h), "curvature", dim, exact=True)
         optimum = _immutable(np.ravel(optimum))
         if optimum.size != dim:
             raise ValueError(f"optimum must have {dim} elements, got {optimum.size}")
-        _require_finite(h, "curvature")
         _require_finite(optimum, "optimum")
-        # A stripe of rows from the diagonal on against its columns: each
-        # pair is compared once, and no ``h == h.T`` holds dim^2 booleans.
-        for start in range(0, dim, _SYMMETRY_ROWS):
-            end = start + _SYMMETRY_ROWS
-            if not np.array_equal(h[start:end, start:], h[start:, start:end].T):
-                raise ValueError("curvature matrix must be exactly symmetric")
         self._h = h
         self._dim = dim
         ends = itertools.accumulate(sizes)
@@ -163,13 +152,11 @@ class QuadraticOracle(LossOracle):
     def with_window(self, eval_start: int, eval_count: int | None) -> "QuadraticOracle":
         """The same loss weighted as ``eval_count`` samples; ``eval_start``
         must be >= 0 but does not matter otherwise, as the loss has no data,
-        and ``None`` keeps the count.  This oracle when the count is
-        unchanged, else a copy that shares its arrays."""
+        and ``None`` keeps the count.  A new oracle that shares this one's
+        arrays."""
         if eval_start < 0:
             raise ValueError(f"eval_start must be >= 0, got {eval_start}")
         count = self._samples if eval_count is None else int(eval_count)
-        if count == self._samples:
-            return self
         if count < 1:
             raise ValueError(f"sample_count must be >= 1, got {eval_count}")
         oracle = copy.copy(self)
@@ -380,12 +367,10 @@ class ToyClassifierOracle(LossOracle):
 
     def with_window(self, eval_start: int, eval_count: int | None) -> "ToyClassifierOracle":
         """The same model over samples ``eval_start`` on of the evaluation
-        stream, ``eval_count`` of them, or as many as here for ``None``.
-        This oracle when the window is unchanged, else a new one."""
-        window = (eval_start, self.sample_count if eval_count is None else eval_count)
-        if window == self._window:
-            return self
-        return ToyClassifierOracle(self.model, eval_start=window[0], eval_count=window[1])
+        stream, ``eval_count`` of them, or as many as here for ``None``: a
+        new oracle, with buffers and a trace of its own, over this model."""
+        count = self.sample_count if eval_count is None else eval_count
+        return ToyClassifierOracle(self.model, eval_start=eval_start, eval_count=count)
 
     @functools.cached_property
     def _outputs(self) -> list[np.ndarray]:
@@ -680,8 +665,10 @@ def load_oracle(path, *, eval_start: int = 0, eval_count: int | None = None) -> 
                          noise=float(_header_field(header, path, "noise", "a finite number >= 0")),
                          train_count=_header_field(header, path, "train_count",
                                                    "an integer >= 1"))
-        oracle = ToyClassifierOracle(model)
-    elif kind == "quadratic":
+        # Built over the window at once; ``None`` keeps the constructor's count.
+        count = {} if eval_count is None else {"eval_count": eval_count}
+        return ToyClassifierOracle(model, eval_start=eval_start, **count)
+    if kind == "quadratic":
         sizes = tuple(_header_field(header, path, "layer_sizes", "a list of positive integers"))
         dim = sum(sizes)
         if payload.size != dim * dim + dim:
@@ -690,6 +677,5 @@ def load_oracle(path, *, eval_start: int = 0, eval_count: int | None = None) -> 
         optimum = payload[dim * dim:]
         baseline = _header_field(header, path, "baseline", "a finite number")
         oracle = QuadraticOracle(h, optimum, sizes, baseline=baseline)
-    else:
-        raise FileFormatError(f"{path!r}: unknown oracle kind {kind!r}")
-    return oracle.with_window(eval_start, eval_count)
+        return oracle.with_window(eval_start, eval_count)
+    raise FileFormatError(f"{path!r}: unknown oracle kind {kind!r}")

@@ -23,7 +23,7 @@ import numpy as np
 
 from ._files import write_atomic
 from .quantizer import _bit_widths, _immutable, perturbation
-from .spectra import _require_finite
+from .spectra import _require_finite, _require_symmetric
 
 __all__ = [
     "BitMenu",
@@ -92,13 +92,8 @@ class SensitivityMatrix:
         sizes = tuple(int(s) for s in self.layer_sizes)
         if not sizes or any(s < 1 for s in sizes):
             raise ValueError(f"layer sizes must be positive, got {sizes}")
-        entries = _immutable(self.entries)
-        dim = len(menu) * len(sizes)
-        if entries.shape != (dim, dim):
-            raise ValueError(f"entries must have shape {(dim, dim)}, got {entries.shape}")
-        _require_finite(entries, "entries")
-        if not np.array_equal(entries, entries.T):
-            raise ValueError("entries must be exactly symmetric")
+        entries = _require_symmetric(_immutable(self.entries), "entries",
+                                     len(menu) * len(sizes), exact=True)
         if int(self.sample_count) < 1:
             raise ValueError(f"sample_count must be >= 1, got {self.sample_count}")
         object.__setattr__(self, "menu", menu)

@@ -520,7 +520,8 @@ def _frank_wolfe(entries, start, free, wmat, rem, stop_lb=None):
         if dgd > 0.0:
             gamma = min(1.0, max(0.0, -float(gx @ d) / dgd))
         else:
-            # Concave along the segment and decreasing at 0: endpoint is best.
+            # Linear or concave along the segment, and decreasing at 0, as
+            # the gap is positive: the endpoint is best.
             gamma = 1.0
         if gamma == 0.0:
             break

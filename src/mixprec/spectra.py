@@ -5,6 +5,9 @@ a fixed order and sign convention so the decomposition is a pure
 function of the input.  Projection zeroes every non-positive eigenvalue
 and rebuilds the matrix, which is the Frobenius-nearest
 positive-semidefinite matrix (Higham, Linear Algebra Appl. 103, 1988).
+
+``_require_symmetric`` is the one symmetry check; here and in
+``import-matrix`` it accepts ``max|a - a'| <= SYMMETRY_TOL * max(1, max|a|)``.
 """
 
 from __future__ import annotations
@@ -16,9 +19,10 @@ import numpy as np
 
 __all__ = ["EigenDecomposition", "eigh", "psd_project", "SYMMETRY_TOL"]
 
-# Inputs may carry round-off asymmetry up to this bound; anything larger
-# is treated as a caller error rather than silently averaged away.
+# Inputs may carry round-off asymmetry up to this bound times max(1, max|a|);
+# anything larger is a caller error rather than silently averaged away.
 SYMMETRY_TOL = 1e-12
+_SYMMETRY_ROWS = 64  # rows compared with their columns at a time
 
 
 @dataclass(frozen=True, eq=False)
@@ -49,16 +53,38 @@ def _require_finite(a: np.ndarray, what: str) -> None:
                          f"at ({', '.join(map(str, where))})")
 
 
-def _require_symmetric(a: np.ndarray) -> np.ndarray:
+def _require_symmetric(a, what: str, side: int | None = None, *,
+                       exact: bool = False) -> np.ndarray:
+    """``a`` as float64 once it is square, of ``side`` rows (any non-empty
+    side for ``None``), finite, and symmetric: exactly, or else within
+    ``SYMMETRY_TOL * max(1, max|a|)``.  Errors name ``what``."""
     a = np.asarray(a, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if a.shape[0] == 0:
-        raise ValueError("expected a non-empty matrix")
-    _require_finite(a, "matrix")
-    if np.max(np.abs(a - a.T), initial=0.0) > SYMMETRY_TOL:
-        raise ValueError("matrix is not symmetric within tolerance")
-    # Absorb round-off so LAPACK, which reads one triangle, sees the mean.
+    if side is None:
+        if a.ndim != 2 or a.shape[0] != a.shape[1] or not a.size:
+            raise ValueError(f"{what}: expected a non-empty square matrix, got shape {a.shape}")
+    elif a.shape != (side, side):
+        raise ValueError(f"{what}: expected shape {(side, side)}, got {a.shape}")
+    _require_finite(a, what)
+    # A stripe of rows from the diagonal on against its columns: each pair
+    # is compared once, and no temporary holds more than a stripe.
+    gap = 0.0
+    for start in range(0, len(a), _SYMMETRY_ROWS):
+        end = start + _SYMMETRY_ROWS
+        rows, cols = a[start:end, start:], a[start:, start:end].T
+        if not exact:
+            diff = rows - cols
+            gap = max(gap, np.abs(diff, out=diff).max())
+        elif not (rows == cols).all():
+            raise ValueError(f"{what} must be exactly symmetric")
+    if gap > SYMMETRY_TOL and gap > SYMMETRY_TOL * max(1.0, a.max(), -a.min()):
+        raise ValueError(f"{what} is not symmetric within {SYMMETRY_TOL:g} * max(1, max|a|)")
+    return a
+
+
+def _symmetric_mean(a) -> np.ndarray:
+    """``(a + a') / 2`` of a matrix ``_require_symmetric`` accepts within
+    tolerance, so LAPACK, which reads one triangle, sees the mean."""
+    a = _require_symmetric(a, "matrix")
     return 0.5 * (a + a.T)
 
 
@@ -69,7 +95,7 @@ def eigh(a) -> EigenDecomposition:
     that its largest-magnitude component is positive, which makes the
     decomposition a pure function of the input.
     """
-    values, vectors = np.linalg.eigh(_require_symmetric(a))
+    values, vectors = np.linalg.eigh(_symmetric_mean(a))
     # LAPACK returns ascending eigenvalues; flip to descending.
     values, vectors = values[::-1], vectors[:, ::-1]
     lead = vectors[np.argmax(np.abs(vectors), axis=0), np.arange(len(values))]
@@ -96,6 +122,6 @@ def _psd_shift(a) -> float:
     eigenvalue, which lifts it to zero and so keeps the tolerance as margin
     against round-off.
     """
-    values = np.linalg.eigvalsh(_require_symmetric(a))
+    values = np.linalg.eigvalsh(_symmetric_mean(a))
     low = float(values[0])
     return -low if low < -1e-12 * max(1.0, float(values[-1])) else 0.0

@@ -183,6 +183,15 @@ class MatrixBackedOracle(LossOracle):
         return 0.5 * _quadratic_form(self.matrix.entries, selected)
 
 
+def scaled_congruence(scale: float) -> np.ndarray:
+    """``scale * X C X'`` at 40x40, seed 0: symmetric in exact arithmetic,
+    with round-off asymmetry that grows with ``scale``."""
+    rng = np.random.default_rng(0)
+    x = rng.normal(size=(40, 40))
+    c = rng.normal(size=(40, 40))
+    return scale * (x @ (c @ c.T) @ x.T)
+
+
 def traced_peak(fn, *args, **kwargs):
     """``fn(*args, **kwargs)`` and the tracemalloc peak in bytes while it ran."""
     tracemalloc.start()

@@ -14,6 +14,7 @@ from mixprec.cli import BITS_PER_MB, CSV_COLUMNS
 from mixprec.oracles import load_oracle
 from mixprec.sensitivity import load_matrix
 from mixprec.solver import solve_exhaustive, solve_with_method
+from mixprec.spectra import SYMMETRY_TOL
 
 from helpers import (
     GOLDEN_QUARTET_BUDGET_BITS,
@@ -23,6 +24,7 @@ from helpers import (
     noisy_instance,
     parse_kv,
     run_cli,
+    scaled_congruence,
     write_dense,
 )
 
@@ -603,6 +605,22 @@ def test_import_matrix_validation(tmp_path):
                          "--sizes", "1,1", "--cache-dir", str(tmp_path / "newcache"))
     assert code == 5
     assert not cache.exists() and not (tmp_path / "newcache").exists()
+
+
+def test_import_matrix_accepts_round_off_at_scale(tmp_path):
+    dense = scaled_congruence(1e3)
+    # 20 one-weight layers at two widths: zero each same-layer cross-bit pair.
+    flat = np.arange(40)
+    dense[(flat[:, None] // 2 == flat // 2) & (flat[:, None] != flat)] = 0.0
+    assert np.abs(dense - dense.T).max() > SYMMETRY_TOL
+    path = tmp_path / "dense.txt"
+    cache = tmp_path / "cache"
+    np.savetxt(path, dense, fmt="%.17g")
+    code, out, err = run_cli("import-matrix", "--dense", str(path), "--bits", "2,32",
+                             "--sizes", ",".join(["1"] * 20), "--cache-dir", str(cache))
+    assert code == 0, err
+    cached = load_matrix(cache / "batch-000000.txt").entries
+    assert np.array_equal(cached, np.triu(dense) + np.triu(dense, 1).T)
 
 
 def test_import_matrix_rejects_same_layer_cross_bit_entries(tmp_path):

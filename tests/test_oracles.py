@@ -592,6 +592,42 @@ def test_toy_zero_perturbation_resumes_from_its_own_layer(small_toy, monkeypatch
         assert np.float64(loss).tobytes() == np.float64(baseline).tobytes()
 
 
+def _reshaped_perturbations():
+    """A (2, 2)-shaped and a strided perturbation of 4 weights, each with
+    its flat contiguous copy."""
+    rng = np.random.default_rng(5)
+    shaped = rng.normal(size=(2, 2))
+    strided = rng.normal(size=8)[::2]
+    return [(shaped, shaped.flatten()), (strided, strided.copy())]
+
+
+def test_quadratic_evaluates_shaped_and_strided_perturbations_as_flat_ones():
+    q = random_quadratic(6, [4, 3, 4], 0.8)
+    for vec, flat in _reshaped_perturbations():
+        assert q.evaluate({0: vec}) == q.evaluate({0: flat})
+        assert q.evaluate({2: vec, 0: flat}) == q.evaluate({2: flat, 0: flat})
+
+
+def test_toy_evaluates_shaped_and_strided_perturbations_as_flat_ones(monkeypatch):
+    model = train_toy(3, epochs=5, depth=3, hidden=2, eval_count=32).model
+    assert [w.size for w in model.weights] == [4, 4, 4]
+    for vec, flat in _reshaped_perturbations():
+        for idx in range(3):
+            oracle = ToyClassifierOracle(model, eval_count=32)
+            assert oracle.evaluate({idx: vec}) == _fresh_loss(model, {idx: flat})
+    # Immutable arrays that arrive shaped or strided reach the trace as a
+    # new flat array each call, so the next call rebuilds their layer
+    # rather than resuming past it; only a flat one is resumed past.
+    (shaped, flat), _ = _reshaped_perturbations()
+    want = _fresh_loss(model, {0: flat})
+    starts = _counting_forward(monkeypatch)
+    for vec in (quantizer._immutable(shaped), quantizer._immutable(np.repeat(flat, 2))[::2],
+                quantizer._immutable(flat)):
+        oracle = ToyClassifierOracle(model, eval_count=32)
+        assert oracle.evaluate({0: vec}) == oracle.evaluate({0: vec}) == want
+    assert starts == [0, 0, 0, 0, 0, 2]
+
+
 def test_toy_interrupted_pass_leaves_no_trace(small_toy, monkeypatch):
     oracle = ToyClassifierOracle(small_toy, eval_count=32)
     table = layer_perturbations(oracle.layers, (2, 4, 8))
@@ -747,9 +783,11 @@ def test_load_rejects_an_empty_quadratic_window(tmp_path):
     path = tmp_path / "quad.bin"
     save_oracle(random_quadratic(4, [3, 2], 0.7), path)
     assert load_oracle(path, eval_count=5).sample_count == 5
-    # a new window shares the arrays, and an unchanged count is the oracle itself
+    # every window, an unchanged one too, is a distinct oracle over the same arrays
     oracle = load_oracle(path)
-    assert oracle.with_window(7, 1) is oracle
+    same = oracle.with_window(7, 1)
+    assert same is not oracle and same.sample_count == 1
+    assert same.curvature is oracle.curvature
     assert oracle.with_window(0, 5).curvature is oracle.curvature
     with pytest.raises(ValueError, match="sample_count must be >= 1"):
         load_oracle(path, eval_count=0)
@@ -759,6 +797,21 @@ def test_load_rejects_an_empty_quadratic_window(tmp_path):
             load_oracle(path, eval_start=-5, eval_count=count)
     with pytest.raises(ValueError, match="eval_start must be >= 0"):
         oracle.with_window(-1, 1)
+
+
+def test_toy_window_over_the_loaded_window_is_an_oracle_of_its_own(tmp_path):
+    path = tmp_path / "toy.bin"
+    save_oracle(train_toy(6, epochs=25), path)
+    oracle = load_oracle(path)
+    table = layer_perturbations(oracle.layers, (2, 4))
+    oracle.evaluate({1: table[1][0]})
+    same = oracle.with_window(0, None)
+    assert same is not oracle and same._window == oracle._window
+    assert same.model is oracle.model
+    fresh = load_oracle(path)
+    for case in ({}, {1: table[1][0]}, {0: table[0][1]}, {0: table[0][0], 1: table[1][1]}):
+        assert same.evaluate(case) == fresh.evaluate(case)
+    assert same._outputs[0] is not oracle._outputs[0]
 
 
 def test_save_rejects_unknown_oracle(tmp_path):

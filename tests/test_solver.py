@@ -719,6 +719,23 @@ def test_frank_wolfe_stops_once_the_primal_value_clears_the_cut():
     assert iters > 1
 
 
+def test_frank_wolfe_takes_the_full_step_where_the_bound_is_flat():
+    # Zero-diagonal layers make _convexify take w = 1, and the bounding
+    # matrix is then linear along each layer's move: d'Bd is 0 up to
+    # round-off, and the step runs to the LMO's vertex.
+    bounded, _, _ = _convexify(np.diag([1.0, 0.0, 1.0, 0.0, 1.0, 0.0]), 2)
+    wmat = _size_table((1, 1, 1), (2, 4), 9)
+    start, free, rem = _node(np.full(3, -1), wmat, 9)
+    assert rem == 3.0
+    x, iters, lb = _frank_wolfe(bounded, start, free, wmat, rem)
+    assert x.tolist() == [[0.0, 1.0], [0.5, 0.5], [1.0, 0.0]]
+    assert iters == 2
+    d = (x - start).ravel()
+    assert abs(float(d @ bounded @ d)) <= 1e-15
+    assert lb == pytest.approx(float(x.ravel() @ bounded @ x.ravel()), rel=0, abs=1e-12)
+    assert lb == pytest.approx(1.5, rel=0, abs=1e-12)
+
+
 def _shift_scale(entries):
     """The ``w`` the shift scales: the diagonal if positive, else all ones."""
     diagonal = np.diagonal(entries)

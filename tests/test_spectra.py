@@ -2,7 +2,16 @@ import numpy as np
 import pytest
 
 from mixprec.oracles import random_quadratic
-from mixprec.spectra import EigenDecomposition, _psd_shift, eigh, psd_project
+from mixprec.spectra import (
+    SYMMETRY_TOL,
+    EigenDecomposition,
+    _psd_shift,
+    _require_symmetric,
+    eigh,
+    psd_project,
+)
+
+from helpers import scaled_congruence, traced_peak
 
 
 def _random_symmetric(seed: int, n: int, scale: float = 1.0) -> np.ndarray:
@@ -137,3 +146,38 @@ def test_psd_shift_is_zero_on_psd_input_and_lifts_indefinite_input():
         assert shift > 0.0
         values = np.linalg.eigvalsh(a + shift * np.eye(12))
         assert values[0] >= -1e-12 * max(1.0, float(values[-1]))
+
+
+@pytest.mark.parametrize("scale", (1e3, 1e5))
+def test_round_off_asymmetry_passes_at_any_scale(scale):
+    a = scaled_congruence(scale)
+    # The gap is above the bare tolerance, and relative round-off all the same.
+    gap = np.abs(a - a.T).max()
+    assert SYMMETRY_TOL < gap <= SYMMETRY_TOL * np.abs(a).max()
+    p = psd_project(a)
+    assert np.array_equal(p, p.T)
+    assert _psd_shift(p) == 0.0
+
+
+@pytest.mark.parametrize("scale", (1.0, 1e3, 1e5))
+def test_relative_asymmetry_is_rejected_at_any_scale(scale):
+    a = _random_symmetric(5, 12) * scale
+    a[2, 7] += 1e-9 * np.abs(a).max()
+    for func in (eigh, psd_project, _psd_shift):
+        with pytest.raises(ValueError, match="not symmetric within"):
+            func(a)
+
+
+def test_symmetry_check_builds_no_dim_squared_temporary():
+    dim = 2048
+    v = np.random.default_rng(1).normal(size=dim) * 1e5
+    a = np.add.outer(v, v)
+    # Above the bare tolerance, so the check also reads the matrix's scale.
+    a[0, 1] += 1e-9
+    checked, peak = traced_peak(_require_symmetric, a, "matrix")
+    assert checked is a
+    assert peak < 4 * 2 ** 20  # a - a.T alone would take 32 MiB
+    a[0, 1] = a[1, 0]
+    checked, peak = traced_peak(_require_symmetric, a, "matrix", dim, exact=True)
+    assert checked is a
+    assert peak < 2 ** 20  # a == a.T would take 4 MiB
