@@ -17,12 +17,15 @@ therefore the whole grid's, ties included, by construction rather than
 by test; smaller layers skip the screen, whose fixed cost they would not
 repay.
 
-A 3-weight layer scores the whole grid in about 26 us a call at 2 to 8
-bits (one BLAS thread), most of it numpy's fixed per-call cost.  The grid
-is therefore built by hand, from the IEEE operations ``np.geomspace``
-runs, and scored with the sum and the one division behind ``np.mean``,
-without either wrapper; both match the numpy calls byte for byte.  A grid
-that would leave the float64 range raises ``ValueError``.
+A 3-weight layer calibrates in about 21 us a call at 2 to 8 bits (one
+BLAS thread), most of it numpy's fixed per-call cost.  The grid is
+therefore built by hand, from the IEEE operations ``np.geomspace`` runs,
+and scored with the sum and the one division behind ``np.mean``, without
+either wrapper; both match the numpy calls byte for byte.  A layer of
+fewer than 8 weights is scored weight-major, one loop per ufunc over the
+whole table instead of one loop per candidate, because numpy sums fewer
+than 8 terms in the same left-to-right order either way.  A grid that
+would leave the float64 range raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -111,7 +114,11 @@ def _bit_widths(bits) -> list[int]:
     least 2 raises ``ValueError``."""
     values = []
     for b in bits:
-        if not -math.inf < b < math.inf or int(b) != b:
+        try:
+            whole = -math.inf < b < math.inf and int(b) == b
+        except TypeError:  # not a number, such as None or "4"
+            whole = False
+        if not whole:
             raise ValueError(f"bit-widths must be integers, got {b!r}")
         values.append(int(b))
     for b in values:  # a loop, as any() over a generator costs 3x for one width
@@ -184,7 +191,24 @@ def _candidate_scales(amax: float, bits: int) -> np.ndarray:
 
 
 def _exact_mse(w: np.ndarray, cands: np.ndarray, bits: int) -> np.ndarray:
-    """``mean((quantize(w, bits, c) - w) ** 2)`` for every candidate ``c``."""
+    """``mean((quantize(w, bits, c) - w) ** 2)`` for every candidate ``c``.
+
+    From 8 weights on, the errors are scored candidate-major, one row per
+    candidate, in chunks; a smaller layer weight-major, in one ``len(w) x
+    len(cands)`` table, so each ufunc runs one long loop rather than one per
+    candidate.  Both take the same IEEE operations: numpy sums fewer than 8
+    terms strictly left to right, the order in which an axis-0 reduce adds
+    the rows, and 8 or more pairwise.
+    """
+    if w.size < 8:
+        col = w[:, None]
+        with np.errstate(over="ignore"):
+            q = _quantize_into(np.empty((w.size, len(cands))), col, cands, bits)
+            np.subtract(q, col, out=q)
+            np.square(q, out=q)
+            mse = np.add.reduce(q, axis=0)
+        mse /= w.size
+        return mse
     rows = min(len(cands), max(1, _CALIBRATE_CHUNK // w.size))
     # Every chunk is scored in place in one buffer, by quantize's own map.
     # The mean is the sum and the one division np.mean runs for float64.  A

@@ -156,7 +156,11 @@ class SizeBudget:
     limit_bits: int
 
     def __post_init__(self):
-        if not 0 <= self.limit_bits < math.inf or int(self.limit_bits) != self.limit_bits:
+        try:
+            whole = 0 <= self.limit_bits < math.inf and int(self.limit_bits) == self.limit_bits
+        except TypeError:  # not a number, such as None or "5"
+            whole = False
+        if not whole:
             raise ValueError(f"budget must be a non-negative bit count, got {self.limit_bits!r}")
         object.__setattr__(self, "limit_bits", int(self.limit_bits))
 

@@ -1,8 +1,8 @@
 """Shared fixtures-in-spirit for the test suite: golden micro-instances,
 noisy indefinite instances, the acceptance gate's enumeration-scale
 instances, an evaluation-counting oracle wrapper, a matrix replay oracle,
-a reference toy trainer, a tracemalloc peak probe, and an in-process CLI
-runner.
+a reference toy trainer, a candidate-major reference scorer, a tracemalloc
+peak probe, and an in-process CLI runner.
 """
 
 from __future__ import annotations
@@ -266,3 +266,16 @@ def reference_train_toy(seed: int, epochs: int = 2000, *, depth: int = 8, hidden
             vhat = second[i] / (1.0 - beta2 ** step)
             par -= lr * mhat / (np.sqrt(vhat) + eps)
     return weights, biases, updates
+
+
+def reference_exact_mse(w: np.ndarray, cands: np.ndarray, bits: int) -> np.ndarray:
+    """``quantizer._exact_mse``'s docstring expression, scored candidate-major:
+    one row of errors per candidate, each averaged by ``np.mean``.
+
+    Candidates whose squared errors overflow score inf here too, without a
+    warning; ``_exact_mse`` must match these bytes at every layer size.
+    """
+    lo, hi = -(2 ** (bits - 1)), 2 ** (bits - 1) - 1
+    c = cands[:, None]
+    with np.errstate(over="ignore"):
+        return np.mean((np.clip(np.round(w / c), lo, hi) * c - w) ** 2, axis=1)

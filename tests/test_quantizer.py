@@ -13,7 +13,7 @@ from mixprec.quantizer import (
     _candidate_scales,
 )
 
-from helpers import traced_peak
+from helpers import reference_exact_mse, traced_peak
 
 
 def test_hand_example_half_step_scale():
@@ -66,6 +66,10 @@ def test_quantize_rejects_bad_bits_and_scale():
                      lambda: perturbation([1.0], bits)):
             with pytest.raises(ValueError, match="bit-widths must be"):
                 call()
+    # not the TypeError of comparing a float with None or a str
+    for bits in (None, "4"):
+        with pytest.raises(ValueError, match=f"^bit-widths must be integers, got {bits!r}$"):
+            calibrate_scale_mse([1.0], bits)
     with pytest.raises(ValueError):
         quantize([1.0], 4, 0.0)
     with pytest.raises(ValueError):
@@ -203,20 +207,50 @@ def test_candidate_scales_match_geomspace_byte_for_byte(bits):
 
 @pytest.mark.parametrize("chunk", [None, 1000, 3])
 def test_exact_mse_matches_its_docstring_byte_for_byte(monkeypatch, chunk):
-    # None keeps every candidate in one chunk; 1000 elements hold a few rows
-    # and leave a short last chunk; 3 scores a 4-weight layer row by row
+    # Layers of fewer than 8 weights are scored weight-major, in one table
+    # whatever the chunk.  From 8 weights on, None keeps every candidate in
+    # one chunk, 1000 elements hold a few rows and leave a short last
+    # chunk, and 3 scores the layer row by row.
     if chunk is not None:
         monkeypatch.setattr(quantizer, "_CALIBRATE_CHUNK", chunk)
     rng = np.random.default_rng(chunk or 0)
-    for size in (1, 2, 3, 4, 7, 333, 1000):
+    for size in (1, 2, 3, 4, 5, 6, 7, 8, 9, 333, 1000):
         for bits in (2, 3, 4, 8, 16):
             w = rng.normal(size=size) * float(rng.uniform(0.01, 100.0))
             cands = _candidate_scales(float(np.max(np.abs(w))), bits)
-            lo, hi = -(2 ** (bits - 1)), 2 ** (bits - 1) - 1
-            c = cands[:, None]
-            want = np.mean((np.clip(np.round(w / c), lo, hi) * c - w) ** 2, axis=1)
+            want = reference_exact_mse(w, cands, bits)
             got = quantizer._exact_mse(w, cands, bits)
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (size, bits)
+
+
+def test_small_layers_score_as_the_candidate_major_reference_byte_for_byte():
+    # Signed zeros, weights on a candidate's half-step ties, and magnitudes
+    # whose squared errors overflow for some candidates (1e154) or all (1e300).
+    # Overflow is expected there, so a path that loses its errstate fails.
+    rng = np.random.default_rng(31)
+    overflowing = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for size in range(1, 8):
+            for bits in range(2, 61):
+                for magnitude in (1e-3, 1.0, 1e154, 1e300):
+                    w = rng.normal(size=size) * magnitude
+                    w[rng.random(size) < 0.25] = 0.0
+                    w[rng.random(size) < 0.25] = -0.0
+                    top = int(rng.integers(size))
+                    w[top] = magnitude
+                    cands = _candidate_scales(magnitude, bits)
+                    for i in range(size):
+                        c = cands[rng.integers(len(cands))]
+                        k = rng.integers(min(2 ** (bits - 1), int(magnitude / c)))
+                        if i != top and rng.random() < 0.5 and (k + 0.5) * c <= magnitude:
+                            w[i] = (k + 0.5) * c * rng.choice((-1.0, 1.0))
+                    got = quantizer._exact_mse(w, cands, bits)
+                    want = reference_exact_mse(w, cands, bits)
+                    assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (
+                        size, bits, w)
+                    overflowing += bool(np.isinf(want).any())
+    assert overflowing >= 7 * 59
 
 
 def test_calibration_rejects_a_grid_outside_float64():

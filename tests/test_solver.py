@@ -113,6 +113,18 @@ def test_budget_units():
             SizeBudget.from_megabytes(value)
 
 
+@pytest.mark.parametrize("bad", [None, "4"])
+@pytest.mark.parametrize("make, message", [
+    (lambda b: BitMenu([b, 8]), "bit-widths must be integers"),
+    (lambda b: BitAssignment([b, 8]), "bit-widths must be integers"),
+    (SizeBudget, "budget must be a non-negative bit count"),
+])
+def test_non_numeric_widths_and_budgets_raise_their_value_error(make, message, bad):
+    # not the TypeError of comparing a float with None or a str
+    with pytest.raises(ValueError, match=f"^{message}, got {bad!r}$"):
+        make(bad)
+
+
 def test_objective_hand_computation():
     m = golden_quartet_matrix()
     assert objective(m, BitAssignment((2, 2, 32, 32))) == math.fsum(
